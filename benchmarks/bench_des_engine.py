@@ -97,16 +97,12 @@ def test_benchmark_e2e_sharded(benchmark, shards):
     """The million-job batch across sharded-clock regions.
 
     Runs on any machine (regions are plain subprocesses); wall-clock wins
-    need >= ``shards`` CPUs, which the trajectory notes record.  The wide
-    ``shard_window`` keeps coordinator round-trips out of the measurement:
-    the regions are fully independent, so the window only bounds clock skew,
-    and the conservative default would cost one IPC round per 60 simulated
-    seconds of a multi-week makespan.
+    need >= ``shards`` CPUs, which the trajectory notes record.
     """
     outcome = benchmark.pedantic(
         grid_end_to_end,
         args=(E2E_JOBS,),
-        kwargs={"shards": shards, "shard_window": 1_000_000.0},
+        kwargs={"shards": shards},
         rounds=1,
         iterations=1,
     )

@@ -253,9 +253,6 @@ class ExecutionConfig:
         advancing its own clock in a worker process.  Only workloads whose
         jobs are pinned to sites a priori are eligible (see
         ``repro.des.sharded.check_shardable``).
-    shard_window:
-        Synchronization-window size (seconds) between sharded-clock regions;
-        ``None`` derives it from the topology's cross-region lookahead.
     """
 
     plugin: str = "round_robin"
@@ -268,7 +265,6 @@ class ExecutionConfig:
     max_retries: int = 0
     macro_batch: bool = False
     shards: int = 1
-    shard_window: Optional[float] = None
     monitoring: MonitoringConfig = field(default_factory=MonitoringConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
     #: Optional early-stop conditions evaluated between events by sessions
@@ -282,10 +278,6 @@ class ExecutionConfig:
         self.shards = int(self.shards)
         if self.shards < 1:
             raise ConfigurationError("shards must be >= 1")
-        if self.shard_window is not None:
-            self.shard_window = parse_duration(self.shard_window)
-            if self.shard_window <= 0:
-                raise ConfigurationError("shard_window must be positive")
         self.dispatch_interval = parse_duration(self.dispatch_interval)
         self.pending_retry_interval = parse_duration(self.pending_retry_interval)
         self.scheduling_overhead = parse_duration(self.scheduling_overhead)
@@ -333,8 +325,6 @@ class ExecutionConfig:
             data["macro_batch"] = self.macro_batch
         if self.shards != 1:
             data["shards"] = self.shards
-        if self.shard_window is not None:
-            data["shard_window"] = self.shard_window
         if self.stop is not None:
             data["stop"] = self.stop.to_dict()
         return data
@@ -353,7 +343,6 @@ class ExecutionConfig:
             "max_retries",
             "macro_batch",
             "shards",
-            "shard_window",
             "monitoring",
             "output",
             "stop",

@@ -26,8 +26,9 @@ process-oriented discrete-event core:
   timed callbacks without per-event objects or generator resumes
   (``Environment.schedule_macro`` / ``Environment.macro_lane``).
 * :mod:`~repro.des.sharded` -- the sharded-clock parallel engine: partitions
-  a platform's sites into conservatively-synchronized regions, each running
-  its own :class:`~repro.des.core.Environment` in a worker process.
+  a platform's sites into independent regions, runs each to completion on
+  its own :class:`~repro.des.core.Environment` in a worker process, and
+  merges the results.
 
 The public API intentionally mirrors the well-known SimPy interface so that
 anyone familiar with process-based DES can read the simulation core directly;

@@ -1,4 +1,4 @@
-"""Sharded-clock parallel engine: conservatively synchronized site regions.
+"""Sharded-clock parallel engine: independent site regions, run and merged.
 
 The single-clock kernel processes every event of the grid on one calendar.
 For workloads whose jobs are pinned to sites *a priori* (trace replays under
@@ -11,27 +11,32 @@ region on its own :class:`~repro.des.core.Environment` in a separate worker
 process, and merging the per-region outputs into one
 :class:`~repro.core.simulator.SimulationResult`.
 
-Synchronization model
+Partition, run, merge
 ---------------------
-Regions advance their clocks in *windows*, conservatively synchronized by a
-coordinator in the parent process:
+For every workload :func:`check_shardable` accepts, no event crosses
+regions: there is no channel between them, so in conservative parallel
+discrete-event terms (Chandy--Misra; Fujimoto, *Parallel and Distributed
+Simulation Systems*) the lookahead is infinite and the regions need no
+synchronization at all.  A run therefore has three phases:
 
-1. every worker reports the timestamp of its next event
-   (:meth:`Environment.peek`);
-2. the coordinator picks ``target = min(peeks) + window`` and tells every
-   region to :meth:`~repro.core.session.SimulationSession.advance_until` it;
-3. each worker replies with its clock, next-event time, completion flag and
-   a state digest drawn from the checkpoint machinery
-   (:meth:`MainServer.snapshot`), which the coordinator folds into its
-   progress view of the whole grid.
+1. **partition** -- :func:`plan_shards` balances the sites over the
+   regions by job count (largest site first, each to the lightest region),
+   and each region's configuration and jobs are pickled once into a
+   payload;
+2. **run** -- each region runs in its own forked worker (the coordinator
+   runs the first region itself), pinned to a CPU of its own where there
+   are several: it unpickles its payload, runs it with a single
+   :meth:`~repro.core.simulator.Simulator.run` call -- which honours the
+   ``execution.max_simulation_time`` deadline -- sends back one result and
+   exits;
+3. **merge** -- the coordinator puts every workload job back at its input
+   position, appends the retry attempts in canonical order and recomputes
+   the metrics from the merged jobs.
 
-The *lookahead* that makes the windows safe is the WAN latency of the
-topology: an event at one site cannot affect another region sooner than the
-smallest cross-region link latency, and for shard-eligible workloads (no
-data transfers, pinned placement) no event crosses regions at all -- the
-windows bound clock skew between regions rather than correctness.  The
-window defaults to ``max(pending_retry_interval, 64 x lookahead)`` and can
-be pinned with ``execution.shard_window``.
+Region *k* of *N* mints retry ids ``base+k, base+k+N, ...``: disjoint
+congruence classes, so merged outputs never collide.  A region that raises
+is reported as ``("error", traceback)`` and surfaces as
+:class:`~repro.utils.errors.SimulationError` carrying that traceback.
 
 When shards cannot help
 -----------------------
@@ -63,12 +68,14 @@ fields.
 
 from __future__ import annotations
 
-import copy
+import gc
 import multiprocessing
+import os
 import pickle
 import time as _wallclock
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+import traceback
+from dataclasses import replace
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.utils.errors import SimulationError
 
@@ -77,79 +84,33 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.workload.job import Job
 
 __all__ = [
-    "ShardPlan",
     "plan_shards",
-    "cross_region_lookahead",
     "check_shardable",
     "run_sharded",
 ]
 
-_INF = float("inf")
 
+def plan_shards(
+    jobs_per_site: Mapping[str, int], shards: int
+) -> Tuple[Tuple[str, ...], ...]:
+    """Partition sites into at most ``shards`` regions balanced by job count.
 
-@dataclass(frozen=True)
-class ShardPlan:
-    """Deterministic partition of the grid's sites into clock regions.
-
-    ``regions`` maps region index to a tuple of site names; ``lookahead`` is
-    the smallest cross-region link latency (the conservative-synchronization
-    bound) and ``window`` the synchronization-window size actually used.
-    """
-
-    regions: Tuple[Tuple[str, ...], ...]
-    lookahead: float
-    window: float
-
-    def region_of(self, site: str) -> int:
-        """Index of the region holding ``site`` (raises on unknown sites)."""
-        for index, names in enumerate(self.regions):
-            if site in names:
-                return index
-        raise SimulationError(f"site {site!r} is not in any shard region")
-
-    def __len__(self) -> int:
-        return len(self.regions)
-
-
-def plan_shards(site_names: List[str], shards: int) -> Tuple[Tuple[str, ...], ...]:
-    """Partition ``site_names`` into at most ``shards`` regions, round-robin.
-
-    Sites are sorted by name first, so the partition depends only on the
-    site set -- never on declaration order or hash seeds.  With more shards
-    than sites, the empty tail regions are dropped.
+    Sites are placed largest job count first (ties by name), each into the
+    region holding the fewest jobs so far (ties: fewer sites, then lower
+    index).  The plan depends only on the site-to-count mapping -- never
+    on declaration order or hash seeds.  With more shards than sites, the
+    empty regions are dropped.
     """
     if shards < 1:
         raise SimulationError(f"shards must be >= 1, got {shards}")
-    ordered = sorted(site_names)
+    ordered = sorted(jobs_per_site, key=lambda name: (-jobs_per_site[name], name))
     regions: List[List[str]] = [[] for _ in range(min(shards, len(ordered)))]
-    for index, name in enumerate(ordered):
-        regions[index % len(regions)].append(name)
-    return tuple(tuple(region) for region in regions)
-
-
-def cross_region_lookahead(topology, regions: Tuple[Tuple[str, ...], ...]) -> float:
-    """Smallest latency of any link joining two different regions.
-
-    This is the conservative-synchronization bound: no event can propagate
-    between regions faster than the fastest cross-region link.  Falls back
-    to the topology's implicit server-link latency when no explicit link
-    crosses regions (every site then reaches the rest of the grid only
-    through the main-server star).
-    """
-    region_of: Dict[str, int] = {}
-    for index, names in enumerate(regions):
-        for name in names:
-            region_of[name] = index
-    crossing = [
-        link.latency
-        for link in topology.links
-        if region_of.get(link.source) is not None
-        and region_of.get(link.destination) is not None
-        and region_of[link.source] != region_of[link.destination]
-    ]
-    if crossing:
-        return float(min(crossing))
-    return float(topology.server_latency)
+    loads = [0] * len(regions)
+    for name in ordered:
+        k = min(range(len(regions)), key=lambda i: (loads[i], len(regions[i]), i))
+        regions[k].append(name)
+        loads[k] += jobs_per_site[name]
+    return tuple(tuple(sorted(region)) for region in regions)
 
 
 def check_shardable(simulator: "Simulator", jobs: List["Job"]) -> List[str]:
@@ -214,13 +175,6 @@ def check_shardable(simulator: "Simulator", jobs: List["Job"]) -> List[str]:
     return problems
 
 
-def _shard_window(execution, lookahead: float) -> float:
-    """Window size: explicit override, or a multiple of the lookahead."""
-    if execution.shard_window is not None:
-        return float(execution.shard_window)
-    return max(float(execution.pending_retry_interval), 64.0 * lookahead)
-
-
 def _region_execution(execution):
     """The execution config a region worker runs under.
 
@@ -233,7 +187,6 @@ def _region_execution(execution):
     return replace(
         execution,
         shards=1,
-        shard_window=None,
         monitoring=MonitoringConfig(enable_events=False, snapshot_interval=0.0),
         output=OutputConfig(),
         stop=None,
@@ -246,9 +199,13 @@ def _region_payload(
     region_index: int,
     shards: int,
     id_base: int,
-    indexed_jobs: List[Tuple[int, "Job"]],
-) -> dict:
-    """Everything one worker needs, as a picklable dict."""
+    jobs: List["Job"],
+) -> bytes:
+    """Everything one region needs, pickled once.
+
+    The bytes double as the shippability check and as the region's private
+    copy of its configuration and jobs, whichever process runs it.
+    """
     from repro.config.infrastructure import InfrastructureConfig
     from repro.config.topology import TopologyConfig
 
@@ -275,100 +232,103 @@ def _region_payload(
             routing_weight=topology.routing_weight,
         ),
         "execution": _region_execution(simulator.execution),
-        "policy": (
-            None if simulator._policy_spec is not None else copy.deepcopy(simulator.policy)
-        ),
+        "policy": None if simulator._policy_spec is not None else simulator.policy,
         "enable_data_transfers": False,
         "data_cache": None,
         "streaming_io": False,
         "parallel_efficiency": simulator.parallel_efficiency,
-        "failure_model": copy.deepcopy(simulator.failure_model),
+        "failure_model": simulator.failure_model,
         "outages": [w for w in simulator.outages if w.site in region],
-        "policy_initial": copy.deepcopy(simulator._policy_initial),
+        "policy_initial": simulator._policy_initial,
     }
-    return {
+    payload = {
         "config": config,
         "region_index": region_index,
         "shards": shards,
         "id_base": id_base,
-        "indices": [index for index, _ in indexed_jobs],
-        "jobs": [job for _, job in indexed_jobs],
+        "jobs": jobs,
     }
+    try:
+        return pickle.dumps(payload, protocol=4)
+    except Exception as exc:
+        raise SimulationError(
+            "simulator configuration cannot be shipped to shard workers "
+            f"(not picklable: {exc})"
+        ) from exc
 
 
-def _region_worker(conn) -> None:
-    """Worker-process entry point: one region, one Environment, one session.
+def _run_region(blob: bytes) -> Tuple[str, object]:
+    """Run one region to completion from its pickled payload.
 
-    Speaks a tiny message protocol with the coordinator::
-
-        <- payload (first message: the region's configuration and jobs)
-        -> ("ready", peek, done)
-        <- ("advance", target)    -> ("state", now, peek, done, digest)
-        <- ("finalize",)          -> ("result", {...})
-        <- ("abort",)             (silent exit)
-
-    Any exception is reported as ``("error", traceback)`` instead of dying
-    silently, so the coordinator can surface the region's failure.
+    Returns ``("result", data)``, or ``("error", traceback)`` when anything
+    raises, so a failing region is reported the same way in the
+    coordinator and in a worker process.
     """
     try:
         from repro.core.simulator import Simulator
 
-        payload = conn.recv()
+        payload = pickle.loads(blob)
         simulator = Simulator.from_config_payload(payload["config"])
 
         def _pin_allocator(sim: "Simulator") -> None:
-            # Region k of N mints runtime ids base+k, base+k+N, ...: disjoint
-            # congruence classes, so merged outputs never collide.
+            # Region k of N mints ids base+k, base+k+N, ... (disjoint classes).
             sim.job_ids.reset(payload["id_base"] + payload["region_index"])
             sim.job_ids.step = payload["shards"]
 
         simulator.on_build(_pin_allocator)
-        session = simulator.session(payload["jobs"])
-        env = simulator.env
-        deadline = simulator.execution.max_simulation_time
-        conn.send(("ready", env.peek(), session.done))
-        while True:
-            message = conn.recv()
-            kind = message[0]
-            if kind == "advance":
-                target = float(message[1])
-                if deadline is not None:
-                    target = min(target, deadline)
-                if not session.done and target > session.now:
-                    session.advance_until(target)
-                done = session.done or (
-                    deadline is not None and session.now >= deadline
-                )
-                conn.send(
-                    ("state", env.now, env.peek(), done, simulator.server.snapshot())
-                )
-            elif kind == "finalize":
-                session.advance_to_completion()
-                result = session.finalize()
-                conn.send(
-                    (
-                        "result",
-                        {
-                            "jobs": result.jobs,
-                            "simulated_time": result.simulated_time,
-                            "pending_jobs": result.pending_jobs,
-                            "assignments": result.assignments,
-                            "wallclock": result.wallclock_seconds,
-                        },
-                    )
-                )
-                conn.close()
-                return
-            else:  # "abort" or anything unknown: exit quietly
-                conn.close()
-                return
-    except BaseException:  # pragma: no cover - transported to the parent
-        import traceback
+        result = simulator.run(payload["jobs"])
+        return (
+            "result",
+            {
+                "jobs": result.jobs,
+                "simulated_time": result.simulated_time,
+                "pending_jobs": result.pending_jobs,
+                "assignments": result.assignments,
+            },
+        )
+    except Exception:
+        return ("error", traceback.format_exc())
 
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except Exception:
-            pass
+
+def _region_cpus(count: int) -> List[Optional[int]]:
+    """The CPU each region is pinned to, or ``None`` for no pinning.
+
+    Round-robin over the CPUs this process may use.  Left alone, the
+    scheduler can keep a freshly forked worker on its parent's CPU for the
+    whole of a short run (observed on a 2-vCPU KVM guest), so two regions
+    time-share one core while the other idles; explicit placement spreads
+    them.
+    """
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    if len(cpus) < 2:
+        return [None] * count
+    return [cpus[k % len(cpus)] for k in range(count)]
+
+
+def _region_worker(blob: bytes, conn, cpu: Optional[int]) -> None:
+    """Worker-process entry point: run one region, send its outcome, exit."""
+    if cpu is not None:
+        os.sched_setaffinity(0, {cpu})
+    try:
+        conn.send(_run_region(blob))
+    finally:
+        conn.close()
+
+
+def _receive(conn) -> Tuple[str, object]:
+    """One worker's outcome; a worker that died silently counts as an error."""
+    try:
+        return conn.recv()
+    except EOFError:
+        return ("error", "shard worker exited without sending a result")
+
+
+def _unwrap(outcome: Tuple[str, object]) -> dict:
+    """A region's result data, or :class:`SimulationError` with its traceback."""
+    kind, data = outcome
+    if kind == "error":
+        raise SimulationError(f"shard worker failed:\n{data}")
+    return data
 
 
 def _canonical_order(jobs: List["Job"]) -> List["Job"]:
@@ -440,97 +400,68 @@ def run_sharded(
         job if job.state is JobState.CREATED else job.copy_for_replay()
         for job in jobs
     ]
-    regions = plan_shards(simulator.infrastructure.site_names, shards)
-    lookahead = cross_region_lookahead(simulator.topology, regions)
-    window = _shard_window(execution, lookahead)
-    plan = ShardPlan(regions=regions, lookahead=lookahead, window=window)
-    if len(plan) < shards:
+    jobs_per_site = dict.fromkeys(simulator.infrastructure.site_names, 0)
+    for job in jobs:
+        jobs_per_site[job.target_site] += 1
+    regions = plan_shards(jobs_per_site, shards)
+    if len(regions) < shards:
         simulator.logger.info(
             "sharded",
-            f"only {len(plan)} region(s) for {shards} shards "
-            f"({len(simulator.infrastructure.site_names)} sites)",
+            f"only {len(regions)} region(s) for {shards} shards "
+            f"({len(jobs_per_site)} sites)",
         )
 
-    by_region: List[List[Tuple[int, "Job"]]] = [[] for _ in range(len(plan))]
+    region_of = {site: k for k, names in enumerate(regions) for site in names}
+    by_region: List[List[int]] = [[] for _ in regions]
     for index, job in enumerate(jobs):
-        by_region[plan.region_of(job.target_site)].append((index, job))
+        by_region[region_of[job.target_site]].append(index)
     id_base = max((int(job.job_id) for job in jobs), default=0) + 1
-    payloads = [
-        _region_payload(simulator, plan.regions[k], k, len(plan), id_base, by_region[k])
-        for k in range(len(plan))
+    blobs = [
+        _region_payload(
+            simulator, names, k, len(regions), id_base, [jobs[i] for i in by_region[k]]
+        )
+        for k, names in enumerate(regions)
     ]
-    for payload in payloads:
-        try:
-            pickle.dumps(payload, protocol=4)
-        except Exception as exc:
-            raise SimulationError(
-                "simulator configuration cannot be shipped to shard workers "
-                f"(not picklable: {exc})"
-            ) from exc
 
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+    cpus = _region_cpus(len(blobs))
+    allowed = os.sched_getaffinity(0) if cpus[0] is not None else None
+    # Move every live object out of the collector's reach before forking:
+    # children then never touch (and copy) the parent's pages on a gc pass.
+    gc.freeze()
     workers = []
     try:
-        for payload in payloads:
-            parent_conn, child_conn = context.Pipe(duplex=True)
+        for blob, cpu in zip(blobs[1:], cpus[1:]):
+            receiver, sender = context.Pipe(duplex=False)
             process = context.Process(
-                target=_region_worker, args=(child_conn,), daemon=True
+                target=_region_worker, args=(blob, sender, cpu), daemon=True
             )
             process.start()
-            child_conn.close()
-            parent_conn.send(payload)
-            workers.append((process, parent_conn))
-
-        peeks: List[float] = [_INF] * len(workers)
-        done: List[bool] = [False] * len(workers)
-        for index, (_, conn) in enumerate(workers):
-            peeks[index], done[index] = _expect(conn, "ready")[1:3]
-        rounds = 0
-        while not all(done):
-            horizon = min(peek for index, peek in enumerate(peeks) if not done[index])
-            if horizon == _INF:
-                stuck = [k for k in range(len(workers)) if not done[k]]
-                raise SimulationError(
-                    f"sharded regions {stuck} have no scheduled events but "
-                    "incomplete workloads (deadlock)"
-                )
-            target = horizon + window
-            active = [k for k in range(len(workers)) if not done[k]]
-            for k in active:
-                workers[k][1].send(("advance", target))
-            completed_jobs = 0
-            for k in active:
-                _, _, peeks[k], done[k], digest = _expect(workers[k][1], "state")
-                completed_jobs += int(digest.get("completed", 0))
-            rounds += 1
-            simulator.logger.debug(
-                "sharded",
-                f"window {rounds}: target={target:.0f}s "
-                f"active={len(active)} completed~{completed_jobs}",
-            )
-
-        for _, conn in workers:
-            conn.send(("finalize",))
-        region_results = [_expect(conn, "result")[1] for _, conn in workers]
+            sender.close()
+            workers.append((process, receiver))
+        if allowed is not None:
+            os.sched_setaffinity(0, {cpus[0]})
+        outcomes = [_run_region(blobs[0])]
+        outcomes.extend(_receive(conn) for _, conn in workers)
     finally:
         for process, conn in workers:
-            try:
-                conn.close()
-            except Exception:
-                pass
+            conn.close()
             process.join(timeout=10)
             if process.is_alive():  # pragma: no cover - crash cleanup
                 process.terminate()
                 process.join()
+        if allowed is not None:
+            os.sched_setaffinity(0, allowed)
+        gc.unfreeze()
+    region_results = [_unwrap(outcome) for outcome in outcomes]
 
     merged: List[Optional["Job"]] = [None] * len(jobs)
     retries: List["Job"] = []
     assignments: Dict[int, str] = {}
     pending_jobs = 0
     simulated_time = 0.0
-    for k, data in enumerate(region_results):
-        indices = payloads[k]["indices"]
+    for indices, data in zip(by_region, region_results):
         region_jobs = data["jobs"]
         for index, job in zip(indices, region_jobs[: len(indices)]):
             merged[index] = job
@@ -556,18 +487,6 @@ def run_sharded(
     if verify:
         _verify_against_single_clock(simulator, jobs, result)
     return result
-
-
-def _expect(conn, kind: str):
-    """Receive one worker message, translating errors and wrong kinds."""
-    message = conn.recv()
-    if message[0] == "error":
-        raise SimulationError(f"shard worker failed:\n{message[1]}")
-    if message[0] != kind:
-        raise SimulationError(
-            f"shard worker protocol error: expected {kind!r}, got {message[0]!r}"
-        )
-    return message
 
 
 def _verify_against_single_clock(

@@ -18,7 +18,7 @@ import os
 import pstats
 import time
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
 from repro.des import Environment, Resource, Store
 
@@ -162,7 +162,6 @@ def grid_end_to_end(
     macro: bool = False,
     shards: int = 1,
     sites: int = 8,
-    shard_window: Optional[float] = None,
 ) -> WorkloadOutcome:
     """One full simulator run: synthetic workload on a synthetic grid.
 
@@ -170,12 +169,7 @@ def grid_end_to_end(
     dispatch, admission, execution and completion all exercise the engine
     through the real component stack.  ``macro`` routes the hot timeouts
     through the columnar macro-batch lanes; ``shards`` runs the sharded-clock
-    engine.  For sharded benchmark runs pass a wide ``shard_window``: the
-    workload's regions are fully independent, so windows only bound clock
-    skew, and the default conservative window (~60 simulated seconds) would
-    cost hundreds of thousands of coordinator round-trips on a
-    multi-week-makespan workload -- the measurement would time the IPC, not
-    the engine.  Monitoring is muted (the throughput of the *engine* is what
+    engine.  Monitoring is muted (the throughput of the *engine* is what
     is being measured).  The outcome counts finished jobs, so rates derived
     from it read as jobs/second.
     """
@@ -190,7 +184,6 @@ def grid_end_to_end(
         plugin="follow_trace",
         macro_batch=macro,
         shards=shards,
-        shard_window=shard_window,
         monitoring=MonitoringConfig(enable_events=False, snapshot_interval=0.0),
     )
     result = Simulator(infrastructure, topology, execution).run(jobs)

@@ -550,8 +550,6 @@ def _execution_def() -> Dict[str, Any]:
                                          d, "macro_batch"),
             "shards": _with_default(_integer(1, "Sharded-clock regions (1 = single clock)."),
                                     d, "shards"),
-            "shard_window": _quantity("duration", exclusive_minimum=0, nullable=True,
-                                      description="Synchronization window between shards."),
             "monitoring": {"$ref": "#/$defs/monitoring"},
             "output": {"$ref": "#/$defs/output"},
             "stop": _nullable_ref("#/$defs/stop"),

@@ -170,6 +170,15 @@ class TestValidatorRejections:
             for e in errors
         )
 
+    def test_removed_shard_window_is_rejected(self):
+        data = self.base()
+        data["execution"]["shard_window"] = 100.0
+        errors = self._errors(data)
+        assert any(
+            e.pointer == "/execution/shard_window" and "known fields" in e.message
+            for e in errors
+        )
+
     def test_unknown_plugin_points_at_plugin(self):
         data = self.base()
         data["execution"]["plugin"] = "definitely_not_registered"

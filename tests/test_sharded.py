@@ -5,10 +5,12 @@ for shard-eligible workloads (pinned placement, no cross-site data flows)
 the merged result must be bit-identical to a scalar run, for any shard
 count, any hash seed and with fault injection active.  The suite pins:
 
-* the deterministic shard plan and the WAN-lookahead rule;
-* every :func:`check_shardable` refusal;
+* the deterministic, job-count-balanced shard plan;
+* every :func:`check_shardable` refusal, and the two failure paths of a run
+  (a region that raises, a configuration that cannot be shipped);
 * metric equality (via the checkpoint differ) at 2 and 3 shards, with and
-  without failures/retries, and through ``verify=True``;
+  without failures/retries, under a simulated-time deadline, and through
+  ``verify=True``;
 * hash-seed independence, by recomputing fingerprints under different
   ``PYTHONHASHSEED`` values in subprocesses, on workloads drawn from two
   bundled scenario packs;
@@ -27,13 +29,10 @@ import pytest
 
 from repro.config.execution import ExecutionConfig, MonitoringConfig, StopConfig
 from repro.config.generators import generate_grid
-from repro.config.topology import LinkConfig, TopologyConfig
 from repro.core.simulator import Simulator
 from repro.des.sharded import (
-    ShardPlan,
     check_shardable,
     comparable_metrics,
-    cross_region_lookahead,
     plan_shards,
     run_sharded,
 )
@@ -71,41 +70,29 @@ def single_clock_fingerprint(
 
 
 class TestShardPlan:
-    def test_round_robin_over_sorted_names(self):
-        regions = plan_shards(["delta", "alpha", "charlie", "bravo"], 2)
-        assert regions == (("alpha", "charlie"), ("bravo", "delta"))
+    def test_balanced_largest_first_ties_by_name(self):
+        # 9 goes first, then the 5s by name: alpha to the empty region,
+        # charlie to the lighter one; delta joins whichever is lightest.
+        regions = plan_shards({"delta": 1, "charlie": 5, "alpha": 5, "bravo": 9}, 2)
+        assert regions == (("bravo", "delta"), ("alpha", "charlie"))
+
+        # The speed-test workload: round-robin split it 1,323/2,677.
+        _, _, jobs = make_workload(sites=4, jobs=4000, seed=5)
+        counts: dict = {}
+        for job in jobs:
+            counts[job.target_site] = counts.get(job.target_site, 0) + 1
+        loads = sorted(
+            sum(counts[name] for name in names) for names in plan_shards(counts, 2)
+        )
+        assert loads == [1999, 2001]
 
     def test_more_shards_than_sites_drops_empty_regions(self):
-        regions = plan_shards(["b", "a"], 8)
+        regions = plan_shards({"b": 0, "a": 0}, 8)
         assert regions == (("a",), ("b",))
 
     def test_zero_shards_rejected(self):
         with pytest.raises(SimulationError):
-            plan_shards(["a"], 0)
-
-    def test_region_of_unknown_site_raises(self):
-        plan = ShardPlan(regions=(("a",), ("b",)), lookahead=1.0, window=10.0)
-        assert plan.region_of("b") == 1
-        assert len(plan) == 2
-        with pytest.raises(SimulationError):
-            plan.region_of("zz")
-
-    def test_lookahead_is_min_crossing_link_latency(self):
-        topology = TopologyConfig(
-            links=[
-                LinkConfig(name="ab", source="a", destination="b", bandwidth=1e9, latency=0.2),
-                LinkConfig(name="ac", source="a", destination="c", bandwidth=1e9, latency=0.05),
-                # Intra-region link: must not contribute.
-                LinkConfig(name="aa2", source="a", destination="a2", bandwidth=1e9, latency=0.001),
-            ],
-            server_latency=0.5,
-        )
-        regions = (("a", "a2"), ("b", "c"))
-        assert cross_region_lookahead(topology, regions) == 0.05
-
-    def test_lookahead_falls_back_to_server_latency(self):
-        topology = TopologyConfig(links=[], server_latency=0.25)
-        assert cross_region_lookahead(topology, (("a",), ("b",))) == 0.25
+            plan_shards({"a": 1}, 0)
 
 
 class TestCheckShardable:
@@ -225,13 +212,56 @@ class TestMetricEquality:
         result = run_sharded(simulator, jobs, verify=True)
         assert result.metrics.finished_jobs == 100
 
-    def test_explicit_shard_window_still_equal(self):
-        infrastructure, topology, jobs = make_workload(sites=4, jobs=120)
-        expected = single_clock_fingerprint(infrastructure, topology, jobs)
-        execution = follow_trace_execution(shards=2, shard_window=50.0)
-        simulator = Simulator(infrastructure, topology, execution)
-        result = simulator.run([job.copy_for_replay() for job in jobs])
-        assert diff_states(expected, comparable_metrics(result.jobs)) == []
+    @pytest.mark.parametrize("deadline", [5_000.0, 40_000.0, 1e7])
+    def test_deadline_matches_single_clock(self, deadline):
+        infrastructure, topology, jobs = make_workload(sites=4, jobs=150)
+        overrides = {"max_simulation_time": deadline}
+        single = Simulator(infrastructure, topology, follow_trace_execution(**overrides))
+        expected = single.run([job.copy_for_replay() for job in jobs])
+
+        execution = follow_trace_execution(shards=2, **overrides)
+        result = Simulator(infrastructure, topology, execution).run(
+            [job.copy_for_replay() for job in jobs]
+        )
+        assert result.simulated_time == expected.simulated_time
+        assert result.pending_jobs == expected.pending_jobs
+        assert diff_states(
+            comparable_metrics(expected.jobs), comparable_metrics(result.jobs)
+        ) == []
+
+
+class TestRunFailures:
+    def test_failing_region_surfaces_traceback(self, monkeypatch):
+        import multiprocessing
+
+        coordinator = os.getpid()
+        original = Simulator.from_config_payload
+
+        def explode(cls, payload):
+            # Only the forked worker fails: its traceback must cross the pipe.
+            if os.getpid() != coordinator:
+                raise RuntimeError("region exploded")
+            return original(payload)
+
+        monkeypatch.setattr(Simulator, "from_config_payload", classmethod(explode))
+        infrastructure, topology, jobs = make_workload(sites=4, jobs=40)
+        simulator = Simulator(infrastructure, topology, follow_trace_execution(shards=2))
+        with pytest.raises(SimulationError) as excinfo:
+            simulator.run(jobs)
+        message = str(excinfo.value)
+        assert "shard worker failed" in message
+        assert "Traceback" in message and "region exploded" in message
+        assert multiprocessing.active_children() == []
+
+    def test_unpicklable_config_refused(self):
+        infrastructure, topology, jobs = make_workload(sites=4, jobs=40)
+        model = JobFailureModel(default_rate=0.1, seed=1)
+        model.on_failure = lambda job: None  # lambdas do not pickle
+        simulator = Simulator(
+            infrastructure, topology, follow_trace_execution(shards=2), failure_model=model
+        )
+        with pytest.raises(SimulationError, match="cannot be shipped to shard workers"):
+            simulator.run(jobs)
 
 
 #: Fingerprint script run under different PYTHONHASHSEED values: builds the
