@@ -41,13 +41,8 @@ def run_policy(policy: str, infrastructure, topology, jobs, datasets, seed: int)
         catalog = RucioCatalog(simulator.data_manager, seed=seed)
         catalog.place_datasets(datasets, infrastructure.site_names, replication_factor=2)
 
-    simulator = Simulator(
-        infrastructure,
-        topology,
-        execution,
-        enable_data_transfers=True,
-        setup_hook=place_replicas,
-    )
+    simulator = Simulator(infrastructure, topology, execution, enable_data_transfers=True)
+    simulator.on_build(place_replicas)
     result = simulator.run([job.copy_for_replay() for job in jobs])
 
     transfers = simulator.data_manager.transfer_log

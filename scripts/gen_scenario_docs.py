@@ -1,21 +1,30 @@
 #!/usr/bin/env python
-"""Generate docs/scenarios/cookbook.md from the bundled scenario packs.
+"""Generate the scenario docs from the bundled packs and the pack schema.
 
-The cookbook page is *data-derived documentation*: each bundled pack renders
-as a section with its prose, its shape (grid/workload/mode), how to run it,
-and its canonical JSON definition.  The committed page must always match the
-packs; ``--check`` mode (used by CI and tests/test_docs.py) exits non-zero
-with a diff hint when it does not.
+Two pages are *data-derived documentation*:
+
+* docs/scenarios/cookbook.md -- each bundled pack renders as a section with
+  its prose, its shape (grid/workload/mode), how to run it, and its
+  canonical JSON definition;
+* docs/scenarios/schema.md -- a hand-written page whose per-section field
+  tables (type, default, meaning) are rendered from the generated JSON
+  Schema, between BEGIN/END generated-section markers, so the reference
+  cannot drift from the field declarations.
+
+The committed pages must always match; ``--check`` mode (used by CI and
+tests/test_docs.py) exits non-zero with a regeneration hint when they do
+not.
 
 Usage::
 
-    python scripts/gen_scenario_docs.py          # rewrite the page
-    python scripts/gen_scenario_docs.py --check  # verify it is in sync
+    python scripts/gen_scenario_docs.py          # rewrite the pages
+    python scripts/gen_scenario_docs.py --check  # verify they are in sync
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -23,6 +32,28 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 OUTPUT = REPO_ROOT / "docs" / "scenarios" / "cookbook.md"
+SCHEMA_PAGE = REPO_ROOT / "docs" / "scenarios" / "schema.md"
+
+#: Schema definition -> the schema page heading documenting it ("pack" is
+#: the document root).
+TABLES = {
+    "pack": "Top level",
+    "grid": "grid",
+    "workload": "workload",
+    "workload_spec": "workload.spec",
+    "execution": "execution",
+    "monitoring": "execution.monitoring",
+    "output": "execution.output",
+    "stop": "execution.stop",
+    "faults": "faults",
+    "data": "data",
+    "cache": "data.cache",
+    "calibration": "calibration",
+    "sweep": "sweep",
+}
+
+_TYPE_NAMES = {"object": "mapping", "array": "list", "integer": "int", "boolean": "bool"}
+_BOUND_SIGNS = {"minimum": "≥", "exclusiveMinimum": ">", "maximum": "≤"}
 
 HEADER = """\
 # Scenario cookbook
@@ -155,27 +186,130 @@ def render_cookbook() -> str:
     return "\n".join(sections)
 
 
+def _begin(name: str) -> str:
+    return (
+        f"<!-- BEGIN GENERATED FILE SECTION: fields-{name} - do not edit\n"
+        "     by hand. Regenerate with: python scripts/gen_scenario_docs.py -->"
+    )
+
+
+def _end(name: str) -> str:
+    return f"<!-- END GENERATED FILE SECTION: fields-{name} -->"
+
+
+def _link(ref: str) -> str:
+    heading = TABLES[ref.rsplit("/", 1)[-1]]
+    return f"[{heading}](#{heading.replace('.', '')})"
+
+
+def _type_text(prop: dict) -> str:
+    """Compact Markdown rendering of what a property schema accepts."""
+    if "anyOf" in prop:
+        return " \\| ".join(_type_text(branch) for branch in prop["anyOf"])
+    if "$ref" in prop:
+        return f"mapping ({_link(prop['$ref'])})"
+    if "enum" in prop:
+        return " \\| ".join(f"`{value}`" for value in prop["enum"])
+    if "pattern" in prop:
+        comment = prop.get("$comment", "")
+        if "parse_duration" in comment:
+            return "duration string"
+        if "parse_bytes" in comment:
+            return "byte-size string"
+        return "`module:Class`"
+    types = prop.get("type", "any")
+    text = " \\| ".join(_TYPE_NAMES.get(t, t) for t in (types if isinstance(types, list) else [types]))
+    if text == "list" and "items" in prop:
+        text += f" of {_type_text(prop['items'])}s"
+    bounds = ", ".join(f"{sign} {prop[key]:g}" for key, sign in _BOUND_SIGNS.items() if key in prop)
+    return f"{text} {bounds}" if bounds else text
+
+
+def _meaning(prop: dict, defs: dict) -> str:
+    """The property description, else that of the object it refers to."""
+    for node in (prop, *prop.get("anyOf", ())):
+        if "$ref" in node:
+            node = defs[node["$ref"].rsplit("/", 1)[-1]]
+        if node.get("description"):
+            return node["description"].replace("|", "\\|")
+    return ""
+
+
+def _field_table(schema: dict, defs: dict, prefix: str) -> list:
+    """A field table for ``schema``, then one per inline sub-object."""
+    required = set(schema.get("required", ()))
+    lines = ["| field | type | default | meaning |", "|---|---|---|---|"]
+    nested = []
+    for name, prop in schema["properties"].items():
+        if name in required:
+            default = "*(required)*"
+        elif "default" in prop:
+            default = f"`{json.dumps(prop['default'])}`"
+        else:
+            default = "—"
+        lines.append(f"| `{name}` | {_type_text(prop)} | {default} | {_meaning(prop, defs)} |")
+        for node in (prop, *prop.get("anyOf", ())):
+            if "properties" in node:
+                nested.append((f"Fields of `{prefix}{name}`:", f"{prefix}{name}.", node))
+        if "properties" in prop.get("items", {}):
+            nested.append((f"Fields of each `{prefix}{name}` entry:", f"{prefix}{name}[].",
+                           prop["items"]))
+    for title, path, node in nested:
+        lines += ["", title, ""] + _field_table(node, defs, path)
+    return lines
+
+
+def render_schema_page(current: str) -> str:
+    """``current`` with every field-table block regenerated from the schema."""
+    from repro.schema import build_schema
+
+    schema = build_schema()
+    defs = schema["$defs"]
+    for name, heading in TABLES.items():
+        begin, end = current.find(_begin(name)), current.find(_end(name))
+        if begin == -1 or end == -1 or end < begin:
+            raise SystemExit(
+                f"{SCHEMA_PAGE} is missing the fields-{name} markers; restore the "
+                "BEGIN/END GENERATED FILE SECTION comments"
+            )
+        node = schema if name == "pack" else defs[name]
+        prefix = "" if name == "pack" else f"{heading}."
+        table = "\n".join(_field_table(node, defs, prefix))
+        current = current[:begin] + _begin(name) + "\n\n" + table + "\n\n" + current[end:]
+    return current
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--check", action="store_true",
                         help="exit 1 if the committed page is out of sync")
     args = parser.parse_args(argv)
 
-    rendered = render_cookbook()
+    pages = [(OUTPUT, render_cookbook())]
+    if SCHEMA_PAGE.exists():
+        current = SCHEMA_PAGE.read_text(encoding="utf-8")
+        pages.append((SCHEMA_PAGE, render_schema_page(current)))
+    stale = []
+    for path, rendered in pages:
+        current = path.read_text(encoding="utf-8") if path.exists() else ""
+        if current == rendered:
+            continue
+        stale.append(path)
+        if not args.check:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(rendered, encoding="utf-8")
+            print(f"wrote {path} ({len(rendered.splitlines())} lines)")
     if args.check:
-        current = OUTPUT.read_text(encoding="utf-8") if OUTPUT.exists() else ""
-        if current != rendered:
+        for path in stale:
             print(
-                f"{OUTPUT} is out of sync with the bundled packs; "
-                "regenerate with: python scripts/gen_scenario_docs.py",
+                f"{path} is out of sync with the bundled packs and the pack "
+                "schema; regenerate with: python scripts/gen_scenario_docs.py",
                 file=sys.stderr,
             )
+        if stale:
             return 1
-        print(f"{OUTPUT} is in sync ({len(rendered.splitlines())} lines)")
-        return 0
-    OUTPUT.parent.mkdir(parents=True, exist_ok=True)
-    OUTPUT.write_text(rendered, encoding="utf-8")
-    print(f"wrote {OUTPUT} ({len(rendered.splitlines())} lines)")
+        for path, rendered in pages:
+            print(f"{path} is in sync ({len(rendered.splitlines())} lines)")
     return 0
 
 

@@ -7,9 +7,10 @@ monitoring cadence, random seeds, and where outputs go.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.schema.fields import load_section, schema_field
 from repro.utils.errors import ConfigurationError
 from repro.utils.units import parse_duration
 
@@ -56,13 +57,31 @@ class StopConfig:
     'failure_rate'
     """
 
-    max_simulated_time: Optional[float] = None
-    max_finished_jobs: Optional[int] = None
-    max_failed_jobs: Optional[int] = None
-    metric: Optional[str] = None
-    op: str = ">="
-    value: Optional[float] = None
-    check_every: int = 1
+    max_simulated_time: Optional[float] = schema_field(
+        None, "Stop once the clock reaches this horizon.", quantity="duration", exclusive_minimum=0)
+    max_finished_jobs: Optional[int] = schema_field(
+        None, "Stop after this many finished jobs.", minimum=1)
+    max_failed_jobs: Optional[int] = schema_field(
+        None, "Stop after this many failed jobs.", minimum=1)
+    metric: Optional[str] = schema_field(None, "Metric-predicate field name.")
+    op: str = schema_field(">=", "Comparison operator of the metric predicate.", enum=STOP_OPS)
+    value: Optional[float] = schema_field(None, "Metric-predicate threshold.")
+    check_every: int = schema_field(
+        1, "Recompute metrics every N job completions.", minimum=1, show_default=False)
+
+    SCHEMA_RULES = (
+        {
+            "if": {"properties": {"metric": {"type": "string"}}, "required": ["metric"]},
+            "then": {"properties": {"value": {"type": "number"}}, "required": ["value"],
+                     "$comment": "'metric' and 'value' must be given together"},
+        },
+        {
+            "if": {"properties": {"value": {"type": "number"}}, "required": ["value"]},
+            "then": {"properties": {"metric": {"type": "string", "minLength": 1}},
+                     "required": ["metric"],
+                     "$comment": "'metric' and 'value' must be given together"},
+        },
+    )
 
     def __post_init__(self) -> None:
         if self.max_simulated_time is not None:
@@ -141,19 +160,17 @@ class MonitoringConfig:
     10
     """
 
-    #: Record per-job state transitions (Table 1 rows).
-    enable_events: bool = True
-    #: Interval in seconds between site-level snapshots (0 disables them).
-    snapshot_interval: float = 300.0
-    #: Keep records in memory (needed for the dashboard and ML dataset export).
-    keep_in_memory: bool = True
-    #: Rows buffered before attached sinks receive a batch.
-    batch_size: int = 1024
-    #: "full" records every transition row; "aggregate" keeps only the
-    #: per-site counters (huge runs that only need site-level aggregates).
-    detail: str = "full"
-    #: Retain every Nth transition row (1 = all; counters stay exact).
-    sample_stride: int = 1
+    enable_events: bool = schema_field(True, "Record per-job state transitions.")
+    snapshot_interval: float = schema_field(
+        300.0, "Seconds between site snapshots (0 disables).", quantity="duration", minimum=0)
+    #: Retained rows feed the dashboard and the ML dataset export.
+    keep_in_memory: bool = schema_field(True, "Retain monitoring rows in memory.")
+    batch_size: int = schema_field(1024, "Rows buffered per sink batch.", minimum=1)
+    #: "aggregate" keeps only the per-site counters (huge runs that only
+    #: need site-level aggregates).
+    detail: str = schema_field("full", "Transition detail level.", enum=("full", "aggregate"))
+    #: Counters stay exact whatever the stride.
+    sample_stride: int = schema_field(1, "Retain every Nth transition row.", minimum=1)
 
     def __post_init__(self) -> None:
         self.snapshot_interval = parse_duration(self.snapshot_interval)
@@ -193,12 +210,9 @@ class OutputConfig:
     persists every monitored transition to ``run.sqlite``.
     """
 
-    #: SQLite database path (``None`` disables the SQLite store).
-    sqlite_path: Optional[str] = None
-    #: Directory for CSV exports (``None`` disables CSV export).
-    csv_directory: Optional[str] = None
-    #: Also dump the ML-ready event-level dataset.
-    ml_dataset: bool = False
+    sqlite_path: Optional[str] = schema_field(None, "SQLite database path (null disables).")
+    csv_directory: Optional[str] = schema_field(None, "CSV export directory (null disables).")
+    ml_dataset: bool = schema_field(False, "Also dump the ML-ready event dataset.")
 
     def to_dict(self) -> dict:
         """JSON-friendly representation."""
@@ -255,21 +269,30 @@ class ExecutionConfig:
         ``repro.des.sharded.check_shardable``).
     """
 
-    plugin: str = "round_robin"
-    plugin_options: Dict[str, object] = field(default_factory=dict)
-    seed: int = 0
-    max_simulation_time: Optional[float] = None
-    dispatch_interval: float = 1.0
-    pending_retry_interval: float = 60.0
-    scheduling_overhead: float = 0.0
-    max_retries: int = 0
-    macro_batch: bool = False
-    shards: int = 1
-    monitoring: MonitoringConfig = field(default_factory=MonitoringConfig)
-    output: OutputConfig = field(default_factory=OutputConfig)
+    plugin: str = schema_field(
+        "round_robin", "Allocation-policy plugin deciding job placement.", plugin="allocation")
+    plugin_options: Dict[str, object] = schema_field(
+        factory=dict, description="Options for the policy constructor.")
+    seed: int = schema_field(0, "Root random seed of the run.")
+    max_simulation_time: Optional[float] = schema_field(
+        None, "Hard stop for the simulated clock.", quantity="duration", exclusive_minimum=0,
+        show_default=True)
+    dispatch_interval: float = schema_field(
+        1.0, "Minimum time between dispatch rounds.", quantity="duration", minimum=0)
+    pending_retry_interval: float = schema_field(
+        60.0, "Re-examination period of the pending list.", quantity="duration",
+        exclusive_minimum=0)
+    scheduling_overhead: float = schema_field(
+        0.0, "Fixed cost added per dispatched job.", quantity="duration", minimum=0)
+    max_retries: int = schema_field(0, "Automatic resubmissions of failed jobs.", minimum=0)
+    macro_batch: bool = schema_field(
+        False, "Route batch-eligible timeouts through macro-event lanes.")
+    shards: int = schema_field(1, "Sharded-clock regions (1 = single clock).", minimum=1)
+    monitoring: MonitoringConfig = schema_field(factory=MonitoringConfig)
+    output: OutputConfig = schema_field(factory=OutputConfig)
     #: Optional early-stop conditions evaluated between events by sessions
     #: (``None`` disables them; see :class:`StopConfig`).
-    stop: Optional[StopConfig] = None
+    stop: Optional[StopConfig] = schema_field(None)
 
     def __post_init__(self) -> None:
         if not self.plugin:
@@ -331,23 +354,9 @@ class ExecutionConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExecutionConfig":
-        """Build from the parsed JSON object."""
-        known = {
-            "plugin",
-            "plugin_options",
-            "seed",
-            "max_simulation_time",
-            "dispatch_interval",
-            "pending_retry_interval",
-            "scheduling_overhead",
-            "max_retries",
-            "macro_batch",
-            "shards",
-            "monitoring",
-            "output",
-            "stop",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(f"execution config: unknown fields {sorted(unknown)}")
-        return cls(**data)
+        """Build from the parsed JSON object, validated against ``#/$defs/execution``.
+
+        Violations raise :class:`ConfigurationError` naming the field and
+        ending in its JSON pointer, e.g. ``(at /max_retries)``.
+        """
+        return load_section(cls, data, "execution config")

@@ -19,7 +19,6 @@ together exactly as the paper's architecture figure describes: input layer
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
@@ -131,12 +130,6 @@ class Simulator:
         Optional iterable of :class:`~repro.faults.OutageWindow` applied by a
         :class:`~repro.faults.FaultInjector` (sites stop admitting jobs while
         a window is active).
-    setup_hook:
-        Deprecated alias for :meth:`on_build`: a callable invoked with the
-        simulator after the platform, data manager and site runtimes have
-        been built but before the run starts.  Still honored (routed through
-        the build-callback registry) but emits a :class:`DeprecationWarning`;
-        register with ``simulator.on_build(fn)`` instead.
     logger:
         Structured logger; silent when omitted.
     """
@@ -153,7 +146,6 @@ class Simulator:
         parallel_efficiency: float = 1.0,
         failure_model: Optional["JobFailureModel"] = None,
         outages: Optional[Iterable["OutageWindow"]] = None,
-        setup_hook: Optional[Callable[["Simulator"], None]] = None,
         logger: Optional[SimLogger] = None,
     ) -> None:
         self.infrastructure = infrastructure
@@ -169,16 +161,6 @@ class Simulator:
         #: Build-time lifecycle callbacks, invoked with the simulator after
         #: every subsystem is wired but before the first event runs.
         self._build_hooks: List[Callable[["Simulator"], None]] = []
-        self.setup_hook = setup_hook
-        if setup_hook is not None:
-            warnings.warn(
-                "Simulator(setup_hook=...) is deprecated; register build-time "
-                "callbacks with Simulator.on_build(fn) (the session lifecycle "
-                "API) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self._build_hooks.append(setup_hook)
 
         if policy is not None:
             self.policy = policy

@@ -1,42 +1,46 @@
-"""Generate the scenario-pack JSON Schema from the configuration dataclasses.
+"""Generate the scenario-pack JSON Schema from the field declarations.
 
-The generator never hand-writes a field list: every ``$defs`` entry is built
-by introspecting the corresponding dataclass
-(:class:`~repro.scenarios.schema.GridSection`,
-:class:`~repro.config.execution.ExecutionConfig`, ...) for defaults and by
-reading the class docstring for its ``description``; the eviction /
-replication / allocation plugin-name enums are pulled live from
-:func:`repro.plugins.registry.available_plugins`.  Cross-field rules the
-eager validator enforces (``kind: files`` requires paths, ``trace`` and
-``per_site_jobs`` are exclusive, ``calibration`` and ``sweep`` are mutually
-exclusive, a stop ``metric`` needs a ``value``, ...) are encoded with
-``if``/``then``/``else`` and ``not`` clauses so third-party tooling catches
-them too.
+Every pack field is declared once, as a dataclass field whose ``metadata``
+(built by :func:`repro.schema.fields.schema_field`) carries its description,
+bounds, enum or plugin family, quantity kind and literal fragment; each
+section lists its cross-field rules once, in a ``SCHEMA_RULES`` class
+attribute whose ``$comment`` entries are the rules' error messages.  The
+generator is a walker over those declarations (:func:`dataclass_schema`):
+one ``$defs`` entry per section dataclass (:func:`pack_definitions`), nested
+sections referenced by ``$ref``, plugin-name enums pulled live from
+:func:`repro.plugins.registry.available_plugins`.
 
 The rendered document is committed at ``docs/schema/scenario-pack.schema.json``
-and kept in sync by ``repro schema check`` in CI.  The schema is
-deliberately *no looser* than :meth:`ScenarioPack.from_dict
-<repro.scenarios.ScenarioPack.from_dict>`: everything it accepts the eager
-validator accepts too (file-existence, plugin-option values and sweep-axis
-dry-runs remain eager-only), and everything :meth:`ScenarioPack.to_dict
-<repro.scenarios.ScenarioPack.to_dict>` emits validates against it.
+and kept in sync by ``repro schema check`` in CI.  It is the contract
+:mod:`repro.schema.validator` enforces for every loading path --
+:meth:`ScenarioPack.from_dict <repro.scenarios.ScenarioPack.from_dict>`, the
+section ``from_dict`` methods, execution files, ``repro schema validate``
+and the session service -- so the published schema and the loader cannot
+disagree.  Only checks a schema cannot express stay eager-only (model
+constructors, plugin resolution, referenced files, sweep-axis dry-runs).
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import functools
 import inspect
 import json
+import typing
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "SCHEMA_VERSION",
     "SCHEMA_ID",
     "build_schema",
+    "current_schema",
     "schema_json",
     "schema_path",
     "dataclass_schema",
+    "pack_definitions",
+    "quantity_schema",
 ]
 
 #: Version of the scenario-pack schema document.  Bump the major part for
@@ -73,487 +77,59 @@ def _doc(obj: Any) -> str:
     return " ".join(first.split())
 
 
-def _defaults(cls: Any) -> Dict[str, Any]:
-    """JSON-encodable dataclass field defaults (factories invoked if simple)."""
-    out: Dict[str, Any] = {}
-    for f in dataclasses.fields(cls):
-        if f.default is not dataclasses.MISSING:
-            value = f.default
-        elif f.default_factory is not dataclasses.MISSING and f.default_factory in (dict, list):
-            value = f.default_factory()
-        else:
-            continue
-        if value is None or isinstance(value, (bool, int, float, str, list, dict)):
-            out[f.name] = value
-    return out
+def quantity_schema(kind: str, **bounds: Any) -> Dict[str, Any]:
+    """A duration/byte quantity: a bounded number or a unit string like ``"4h"``.
 
-
-def _with_default(schema: Dict[str, Any], defaults: Dict[str, Any], name: str) -> Dict[str, Any]:
-    if name in defaults:
-        schema = dict(schema)
-        schema["default"] = defaults[name]
-    return schema
-
-
-def _number(minimum: Optional[float] = None, exclusive_minimum: Optional[float] = None,
-            maximum: Optional[float] = None, description: str = "") -> Dict[str, Any]:
-    schema: Dict[str, Any] = {"type": "number"}
-    if minimum is not None:
-        schema["minimum"] = minimum
-    if exclusive_minimum is not None:
-        schema["exclusiveMinimum"] = exclusive_minimum
-    if maximum is not None:
-        schema["maximum"] = maximum
-    if description:
-        schema["description"] = description
-    return schema
-
-
-def _integer(minimum: Optional[int] = None, description: str = "") -> Dict[str, Any]:
-    schema: Dict[str, Any] = {"type": "integer"}
-    if minimum is not None:
-        schema["minimum"] = minimum
-    if description:
-        schema["description"] = description
-    return schema
-
-
-def _string(description: str = "", **extra: Any) -> Dict[str, Any]:
-    schema: Dict[str, Any] = {"type": "string", **extra}
-    if description:
-        schema["description"] = description
-    return schema
-
-
-def _quantity(kind: str, exclusive_minimum: Optional[float] = None,
-              minimum: Optional[float] = None, nullable: bool = False,
-              description: str = "") -> Dict[str, Any]:
-    """A duration/byte quantity: a bounded number or a unit string like ``"4h"``."""
-    branches: List[Dict[str, Any]] = [
-        _number(minimum=minimum, exclusive_minimum=exclusive_minimum),
+    ``bounds`` are JSON Schema numeric keywords (``minimum``,
+    ``exclusiveMinimum``, ...) applied to the plain-number branch.
+    """
+    return {"anyOf": [
+        {"type": "number", **bounds},
         {"type": "string", "pattern": QUANTITY_PATTERN,
          "$comment": f"unit string parsed by repro.utils.units.parse_{kind}"},
-    ]
-    if nullable:
-        branches.append({"type": "null"})
-    schema: Dict[str, Any] = {"anyOf": branches}
-    if description:
-        schema["description"] = description
-    return schema
+    ]}
 
 
-def _plugin_ref(family: str, description: str) -> Dict[str, Any]:
+def _plugin_ref(family: str) -> Dict[str, Any]:
     """Plugin name schema: registered names of ``family`` or ``module:Class``."""
     from repro.plugins.registry import available_plugins
 
-    return {
-        "description": description,
-        "anyOf": [
-            {"enum": list(available_plugins(family)),
-             "$comment": f"plugins registered in the {family!r} family"},
-            {"type": "string", "pattern": PLUGIN_SPEC_PATTERN,
-             "$comment": "dynamic module.path:ClassName plugin reference"},
-        ],
-    }
+    return {"anyOf": [
+        {"enum": list(available_plugins(family)),
+         "$comment": f"plugins registered in the {family!r} family"},
+        {"type": "string", "pattern": PLUGIN_SPEC_PATTERN,
+         "$comment": "dynamic module.path:ClassName plugin reference"},
+    ]}
 
 
-def _options_object(description: str) -> Dict[str, Any]:
-    return {"type": "object", "description": description, "default": {}}
+#: ``typing.get_type_hints`` evaluates string annotations on every call.
+type_hints = functools.lru_cache(maxsize=None)(typing.get_type_hints)
 
 
-def _nullable_ref(ref: str) -> Dict[str, Any]:
-    return {"anyOf": [{"$ref": ref}, {"type": "null"}]}
+@functools.lru_cache(maxsize=None)
+def pack_definitions() -> Dict[str, type]:
+    """The pack schema's ``$defs``: definition name -> declaring dataclass.
 
-
-def _grid_def() -> Dict[str, Any]:
-    from repro.scenarios.schema import GridSection
-
-    d = _defaults(GridSection)
-    return {
-        "type": "object",
-        "description": _doc(GridSection),
-        "additionalProperties": False,
-        "properties": {
-            "kind": _with_default({"enum": ["synthetic", "wlcg", "files"],
-                                   "description": "Source of the simulated grid."}, d, "kind"),
-            "sites": _with_default(_integer(1, "Number of sites (synthetic/wlcg kinds)."), d, "sites"),
-            "layout": _with_default({"enum": ["star", "tiered"],
-                                     "description": "Synthetic topology layout."}, d, "layout"),
-            "seed": _with_default(_integer(0, "Seed of the synthetic grid generator."), d, "seed"),
-            "infrastructure": {"type": ["string", "null"],
-                               "description": "Infrastructure file path (kind 'files' only)."},
-            "topology": {"type": ["string", "null"],
-                         "description": "Topology file path (kind 'files' only)."},
-        },
-        "allOf": [
-            {
-                "if": {"properties": {"kind": {"const": "files"}}, "required": ["kind"]},
-                "then": {"required": ["infrastructure", "topology"],
-                         "properties": {"infrastructure": {"type": "string"},
-                                        "topology": {"type": "string"}}},
-                "else": {
-                    "properties": {"infrastructure": {"type": "null"},
-                                   "topology": {"type": "null"}},
-                    "$comment": "infrastructure/topology are only valid with kind 'files'",
-                },
-            }
-        ],
-    }
-
-
-def _workload_spec_def() -> Dict[str, Any]:
+    In document order.  A field annotated with one of these classes (or
+    ``Optional`` of one) becomes a ``$ref`` to its definition.
+    """
+    from repro.config import execution
+    from repro.scenarios import schema as pack
     from repro.workload.generator import WorkloadSpec
 
-    d = _defaults(WorkloadSpec)
-    properties = {
-        "multicore_fraction": _number(0, None, 1, "Fraction of jobs requesting multicore_cores cores."),
-        "multicore_cores": _integer(2, "Core count of multi-core jobs."),
-        "walltime_median": _number(None, 0, None, "Median single-core walltime, seconds."),
-        "walltime_sigma": _number(0, None, None, "Lognormal sigma of walltimes."),
-        "multicore_walltime_factor": _number(None, 0, None, "Walltime multiplier for multi-core jobs."),
-        "mean_input_files": _number(0, None, None, "Poisson mean of input-file counts."),
-        "mean_output_files": _number(0, None, None, "Poisson mean of output-file counts."),
-        "mean_file_size": _number(0, None, None, "Mean file size in bytes."),
-        "memory_per_core": _number(0, None, None, "Memory requested per core, bytes."),
-        "arrival_rate": {"anyOf": [_number(None, 0), {"type": "null"}],
-                         "description": "Poisson arrival rate (jobs/s); null submits at t=0."},
-        "walltime_noise_sigma": _number(0, None, None,
-                                        "Lognormal sigma of per-job walltime discrepancy."),
-    }
     return {
-        "type": "object",
-        "description": _doc(WorkloadSpec),
-        "additionalProperties": False,
-        "properties": {name: _with_default(schema, d, name) for name, schema in properties.items()},
-    }
-
-
-def _workload_def() -> Dict[str, Any]:
-    from repro.scenarios.schema import WorkloadSection
-
-    d = _defaults(WorkloadSection)
-    return {
-        "type": "object",
-        "description": _doc(WorkloadSection),
-        "additionalProperties": False,
-        "properties": {
-            "generator": _with_default({"enum": ["synthetic", "panda"],
-                                        "description": "Workload generator."}, d, "generator"),
-            "jobs": _with_default(_integer(1, "Total job count to generate."), d, "jobs"),
-            "seed": _with_default(_integer(0, "Workload generator seed."), d, "seed"),
-            "spec": {"$ref": "#/$defs/workload_spec"},
-            "mean_task_size": _with_default(
-                _number(1, None, None, "Mean jobs per PanDA-like task (panda generator)."),
-                d, "mean_task_size"),
-            "per_site_jobs": {"anyOf": [_integer(1), {"type": "null"}],
-                              "description": "Exactly-N-jobs-per-site mode (synthetic only)."},
-            "trace": {"type": ["string", "null"],
-                      "description": "CSV trace file to replay instead of generating."},
-        },
-        "allOf": [
-            {
-                "if": {"properties": {"per_site_jobs": {"type": "integer"}},
-                       "required": ["per_site_jobs"]},
-                "then": {"properties": {"generator": {"const": "synthetic"}},
-                         "$comment": "per_site_jobs requires the synthetic generator"},
-            },
-            {
-                "not": {"properties": {"trace": {"type": "string"},
-                                       "per_site_jobs": {"type": "integer"}},
-                        "required": ["trace", "per_site_jobs"]},
-                "$comment": "trace and per_site_jobs are exclusive",
-            },
-        ],
-    }
-
-
-def _faults_def() -> Dict[str, Any]:
-    from repro.faults.models import JobFailureModel, SiteOutageModel
-    from repro.scenarios.schema import FaultsSection
-
-    job_failures = {
-        "type": "object",
-        "description": _doc(JobFailureModel),
-        "additionalProperties": False,
-        "properties": {
-            "default_rate": _number(0, None, 1, "Failure probability for unlisted sites."),
-            "site_rates": {"type": "object",
-                           "additionalProperties": _number(0, None, 1),
-                           "description": "Per-site failure probabilities."},
-            "mean_failure_fraction": _number(None, 0, 1,
-                                             "Mean fraction of execution completed before failing."),
-            "seed": _integer(None, "Root seed of the failure draws."),
-        },
-    }
-    outage_window = {
-        "type": "object",
-        "description": "One explicit site outage interval in simulated seconds.",
-        "additionalProperties": False,
-        "required": ["site", "start", "end"],
-        "properties": {
-            "site": _string("Site the outage applies to."),
-            "start": _quantity("duration", description="Outage start time."),
-            "end": _quantity("duration", description="Outage end time."),
-        },
-    }
-    outage_model = {
-        "type": "object",
-        "description": _doc(SiteOutageModel),
-        "additionalProperties": False,
-        "required": ["horizon"],
-        "properties": {
-            "mean_time_between_failures": _quantity("duration", exclusive_minimum=0,
-                                                    description="MTBF per site."),
-            "mean_time_to_repair": _quantity("duration", exclusive_minimum=0,
-                                             description="MTTR per outage."),
-            "horizon": _quantity("duration", exclusive_minimum=0,
-                                 description="Schedule horizon for drawn outages."),
-            "seed": _integer(None, "Seed of the outage schedule draws."),
-        },
-    }
-    return {
-        "type": "object",
-        "description": _doc(FaultsSection),
-        "additionalProperties": False,
-        "properties": {
-            "job_failures": {"anyOf": [job_failures, {"type": "null"}]},
-            "outages": {"type": "array", "items": outage_window,
-                        "description": "Explicit outage windows.", "default": []},
-            "outage_model": {"anyOf": [outage_model, {"type": "null"}]},
-        },
-    }
-
-
-def _cache_def() -> Dict[str, Any]:
-    from repro.scenarios.schema import CacheSection
-
-    d = _defaults(CacheSection)
-    return {
-        "type": "object",
-        "description": _doc(CacheSection),
-        "additionalProperties": False,
-        "properties": {
-            "capacity": _quantity("bytes", exclusive_minimum=0, nullable=True,
-                                  description="Per-site cache capacity in bytes (null = unbounded)."),
-            "policy": _with_default(_plugin_ref("eviction", "Eviction plugin name."), d, "policy"),
-            "policy_options": _options_object("Options for the eviction plugin constructor."),
-            "replication": _with_default(
-                _plugin_ref("replication", "Replica-placement plugin name."), d, "replication"),
-            "replication_options": _options_object("Options for the replication plugin constructor."),
-            "prewarm": _with_default({"type": "boolean",
-                                      "description": "Pre-populate caches with the datasets jobs read."},
-                                     d, "prewarm"),
-        },
-    }
-
-
-def _data_def() -> Dict[str, Any]:
-    from repro.scenarios.schema import DataSection
-
-    d = _defaults(DataSection)
-    return {
-        "type": "object",
-        "description": _doc(DataSection),
-        "additionalProperties": False,
-        "properties": {
-            "datasets": _with_default(_integer(1, "Number of shared datasets."), d, "datasets"),
-            "dataset_size": _with_default(
-                _quantity("bytes", exclusive_minimum=0, description="Size of each dataset in bytes."),
-                d, "dataset_size"),
-            "replication_factor": _with_default(
-                _integer(1, "Initial replicas per dataset."), d, "replication_factor"),
-            "seed": _with_default(_integer(0, "Placement/assignment seed."), d, "seed"),
-            "assignment": _with_default({"enum": ["round_robin", "zipf"],
-                                         "description": "How jobs are assigned datasets."},
-                                        d, "assignment"),
-            "zipf_exponent": _with_default(
-                _number(None, 0, None, "Zipf popularity exponent (assignment 'zipf')."),
-                d, "zipf_exponent"),
-            "cache": _nullable_ref("#/$defs/cache"),
-        },
-    }
-
-
-def _calibration_def() -> Dict[str, Any]:
-    from repro.scenarios.schema import CalibrationSection
-
-    d = _defaults(CalibrationSection)
-    return {
-        "type": "object",
-        "description": _doc(CalibrationSection),
-        "additionalProperties": False,
-        "properties": {
-            "optimizer": _with_default({"enum": ["random", "bayesian", "cmaes", "brute_force"],
-                                        "description": "Black-box optimizer."}, d, "optimizer"),
-            "budget": _with_default(_integer(1, "Optimizer evaluations per site."), d, "budget"),
-            "mode": _with_default({"enum": ["simulate", "analytic"],
-                                   "description": "Objective evaluation mode."}, d, "mode"),
-            "seed": _with_default(_integer(0, "Optimizer seed."), d, "seed"),
-            "min_jobs_per_site": _with_default(
-                _integer(1, "Minimum ground-truth jobs a site needs to be calibrated."),
-                d, "min_jobs_per_site"),
-            "workers": _with_default(_integer(0, "Worker processes (0 = one per CPU)."), d, "workers"),
-        },
-    }
-
-
-def _sweep_def() -> Dict[str, Any]:
-    from repro.scenarios.schema import DEFAULT_SWEEP_METRICS, SweepSection
-
-    d = _defaults(SweepSection)
-    return {
-        "type": "object",
-        "description": _doc(SweepSection),
-        "additionalProperties": False,
-        "required": ["axes"],
-        "properties": {
-            "axes": {
-                "type": "object",
-                "description": "Dotted pack paths mapped to the value lists to sweep.",
-                "minProperties": 1,
-                "propertyNames": {
-                    "pattern": r"^(?!(?:name|title|description|tags|sweep)(?:\.|$)).+",
-                    "$comment": "axes must target a simulation field "
-                                "(grid/workload/execution/faults/data)",
-                },
-                "additionalProperties": {"type": "array", "minItems": 1},
-            },
-            "replications": _with_default(
-                _integer(1, "Seeded replications per combination."), d, "replications"),
-            "workers": _with_default(_integer(0, "Worker processes (0 = one per CPU)."), d, "workers"),
-            "metrics": {"type": "array", "items": {"type": "string"},
-                        "description": "Metric columns of the aggregate table.",
-                        "default": list(DEFAULT_SWEEP_METRICS)},
-        },
-    }
-
-
-def _monitoring_def() -> Dict[str, Any]:
-    from repro.config.execution import MonitoringConfig
-
-    d = _defaults(MonitoringConfig)
-    return {
-        "type": "object",
-        "description": _doc(MonitoringConfig),
-        "additionalProperties": False,
-        "properties": {
-            "enable_events": _with_default({"type": "boolean",
-                                            "description": "Record per-job state transitions."},
-                                           d, "enable_events"),
-            "snapshot_interval": _with_default(
-                _quantity("duration", minimum=0,
-                          description="Seconds between site snapshots (0 disables)."),
-                d, "snapshot_interval"),
-            "keep_in_memory": _with_default({"type": "boolean",
-                                             "description": "Retain monitoring rows in memory."},
-                                            d, "keep_in_memory"),
-            "batch_size": _with_default(_integer(1, "Rows buffered per sink batch."), d, "batch_size"),
-            "detail": _with_default({"enum": ["full", "aggregate"],
-                                     "description": "Transition detail level."}, d, "detail"),
-            "sample_stride": _with_default(_integer(1, "Retain every Nth transition row."),
-                                           d, "sample_stride"),
-        },
-    }
-
-
-def _output_def() -> Dict[str, Any]:
-    from repro.config.execution import OutputConfig
-
-    d = _defaults(OutputConfig)
-    return {
-        "type": "object",
-        "description": _doc(OutputConfig),
-        "additionalProperties": False,
-        "properties": {
-            "sqlite_path": {"type": ["string", "null"],
-                            "description": "SQLite database path (null disables)."},
-            "csv_directory": {"type": ["string", "null"],
-                              "description": "CSV export directory (null disables)."},
-            "ml_dataset": _with_default({"type": "boolean",
-                                         "description": "Also dump the ML-ready event dataset."},
-                                        d, "ml_dataset"),
-        },
-    }
-
-
-def _stop_def() -> Dict[str, Any]:
-    from repro.config.execution import STOP_OPS, StopConfig
-
-    return {
-        "type": "object",
-        "description": _doc(StopConfig),
-        "additionalProperties": False,
-        "properties": {
-            "max_simulated_time": _quantity("duration", exclusive_minimum=0, nullable=True,
-                                            description="Stop once the clock reaches this horizon."),
-            "max_finished_jobs": {"anyOf": [_integer(1), {"type": "null"}],
-                                  "description": "Stop after this many finished jobs."},
-            "max_failed_jobs": {"anyOf": [_integer(1), {"type": "null"}],
-                                "description": "Stop after this many failed jobs."},
-            "metric": {"type": ["string", "null"], "description": "Metric-predicate field name."},
-            "op": {"enum": list(STOP_OPS), "default": ">=",
-                   "description": "Comparison operator of the metric predicate."},
-            "value": {"anyOf": [{"type": "number"}, {"type": "null"}],
-                      "description": "Metric-predicate threshold."},
-            "check_every": _integer(1, "Recompute metrics every N job completions."),
-        },
-        "allOf": [
-            {
-                "if": {"properties": {"metric": {"type": "string"}}, "required": ["metric"]},
-                "then": {"properties": {"value": {"type": "number"}}, "required": ["value"],
-                         "$comment": "'metric' and 'value' must be given together"},
-            },
-            {
-                "if": {"properties": {"value": {"type": "number"}}, "required": ["value"]},
-                "then": {"properties": {"metric": {"type": "string", "minLength": 1}},
-                         "required": ["metric"],
-                         "$comment": "'metric' and 'value' must be given together"},
-            },
-        ],
-    }
-
-
-def _execution_def() -> Dict[str, Any]:
-    from repro.config.execution import ExecutionConfig
-
-    d = _defaults(ExecutionConfig)
-    return {
-        "type": "object",
-        "description": _doc(ExecutionConfig),
-        "additionalProperties": False,
-        "properties": {
-            "plugin": _with_default(
-                _plugin_ref("allocation", "Allocation-policy plugin deciding job placement."),
-                d, "plugin"),
-            "plugin_options": _options_object("Options for the policy constructor."),
-            "seed": _with_default(_integer(None, "Root random seed of the run."), d, "seed"),
-            "max_simulation_time": _with_default(
-                _quantity("duration", exclusive_minimum=0, nullable=True,
-                          description="Hard stop for the simulated clock."),
-                d, "max_simulation_time"),
-            "dispatch_interval": _with_default(
-                _quantity("duration", minimum=0,
-                          description="Minimum time between dispatch rounds."),
-                d, "dispatch_interval"),
-            "pending_retry_interval": _with_default(
-                _quantity("duration", exclusive_minimum=0,
-                          description="Re-examination period of the pending list."),
-                d, "pending_retry_interval"),
-            "scheduling_overhead": _with_default(
-                _quantity("duration", minimum=0,
-                          description="Fixed cost added per dispatched job."),
-                d, "scheduling_overhead"),
-            "max_retries": _with_default(_integer(0, "Automatic resubmissions of failed jobs."),
-                                         d, "max_retries"),
-            "macro_batch": _with_default({"type": "boolean",
-                                          "description": "Route batch-eligible timeouts through macro-event lanes."},
-                                         d, "macro_batch"),
-            "shards": _with_default(_integer(1, "Sharded-clock regions (1 = single clock)."),
-                                    d, "shards"),
-            "monitoring": {"$ref": "#/$defs/monitoring"},
-            "output": {"$ref": "#/$defs/output"},
-            "stop": _nullable_ref("#/$defs/stop"),
-        },
+        "grid": pack.GridSection,
+        "workload": pack.WorkloadSection,
+        "workload_spec": WorkloadSpec,
+        "faults": pack.FaultsSection,
+        "cache": pack.CacheSection,
+        "data": pack.DataSection,
+        "calibration": pack.CalibrationSection,
+        "sweep": pack.SweepSection,
+        "execution": execution.ExecutionConfig,
+        "monitoring": execution.MonitoringConfig,
+        "output": execution.OutputConfig,
+        "stop": execution.StopConfig,
     }
 
 
@@ -564,66 +140,41 @@ def build_schema() -> Dict[str, Any]:
     ``version`` field, and is fully regenerated on every call -- plugin
     enums reflect whatever is registered at call time, which is exactly why
     CI re-runs ``repro schema check`` instead of trusting the committed
-    copy.
+    copy.  Validation uses the per-process copy from :func:`current_schema`.
     """
     from repro.scenarios.schema import ScenarioPack
 
-    return {
+    definitions = pack_definitions()
+    refs = {cls: f"#/$defs/{name}" for name, cls in definitions.items()}
+    document: Dict[str, Any] = {
         "$schema": "https://json-schema.org/draft/2020-12/schema",
         "$id": SCHEMA_ID,
         "title": "CGSim reproduction scenario pack",
         "version": SCHEMA_VERSION,
         "description": _doc(ScenarioPack),
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["name"],
-        "properties": {
-            "name": _string("Unique pack name (the scenario registry key).", minLength=1),
-            "title": _string("One-line human title."),
-            "description": _string("Free-form description of the study."),
-            "tags": {"type": "array", "items": {"type": "string"},
-                     "description": "Free-form labels for filtering pack listings."},
-            "grid": {"$ref": "#/$defs/grid"},
-            "workload": {"$ref": "#/$defs/workload"},
-            "execution": {
-                "anyOf": [{"$ref": "#/$defs/execution"},
-                          _string("Path to a classic execution config file.")],
-                "description": "Execution parameters, inline or as a file reference.",
-            },
-            "faults": _nullable_ref("#/$defs/faults"),
-            "data": _nullable_ref("#/$defs/data"),
-            "calibration": _nullable_ref("#/$defs/calibration"),
-            "sweep": _nullable_ref("#/$defs/sweep"),
-        },
-        "allOf": [
-            {
-                "not": {"properties": {"calibration": {"type": "object"},
-                                       "sweep": {"type": "object"}},
-                        "required": ["calibration", "sweep"]},
-                "$comment": "'calibration' and 'sweep' are mutually exclusive",
-            },
-            {
-                "if": {"properties": {"calibration": {"type": "object"}},
-                       "required": ["calibration"]},
-                "then": {"properties": {"faults": {"type": "null"}, "data": {"type": "null"}},
-                         "$comment": "calibration packs do not support 'faults' or 'data'"},
-            },
-        ],
-        "$defs": {
-            "grid": _grid_def(),
-            "workload": _workload_def(),
-            "workload_spec": _workload_spec_def(),
-            "faults": _faults_def(),
-            "cache": _cache_def(),
-            "data": _data_def(),
-            "calibration": _calibration_def(),
-            "sweep": _sweep_def(),
-            "execution": _execution_def(),
-            "monitoring": _monitoring_def(),
-            "output": _output_def(),
-            "stop": _stop_def(),
-        },
     }
+    document.update(dataclass_schema(ScenarioPack, refs))
+    document["$defs"] = {name: dataclass_schema(cls, refs) for name, cls in definitions.items()}
+    return document
+
+
+_current: Dict[str, Any] = {}
+
+
+def current_schema() -> Dict[str, Any]:
+    """The schema document, built once per process and shared by validation.
+
+    Rebuilt only when the plugin registry changed since the last build (the
+    plugin-name enums are the only live inputs).  Callers must not mutate
+    the returned mapping.
+    """
+    from repro.plugins.registry import available_plugins, plugin_families
+
+    key = tuple(tuple(available_plugins(family)) for family in plugin_families())
+    if _current.get("key") != key:
+        _current["schema"] = build_schema()
+        _current["key"] = key
+    return _current["schema"]
 
 
 def schema_json() -> str:
@@ -636,71 +187,125 @@ def schema_json() -> str:
     return json.dumps(build_schema(), indent=2) + "\n"
 
 
-def dataclass_schema(cls: Any) -> Dict[str, Any]:
-    """Generic dataclass -> JSON Schema object translation.
+def dataclass_schema(cls: Any, refs: Optional[Dict[type, str]] = None) -> Dict[str, Any]:
+    """Generic dataclass -> JSON Schema object translation (the walker).
 
-    Powers the *service* wire-model schemas (:mod:`repro.service.models`):
-    every request/response dataclass becomes a closed object schema
-    (``additionalProperties: false``) whose property types come from the
-    field annotations -- ``int``/``float``/``str``/``bool``, ``Optional``
-    (an ``anyOf`` with ``null``), ``List``/``Dict`` containers and nested
-    dataclasses (inlined recursively).  Fields without defaults are
-    ``required``; JSON-encodable defaults are recorded; a field's
-    ``metadata={"description": ...}`` becomes its ``description`` and the
-    class docstring's first paragraph the object's.  The scenario-pack
-    schema itself stays hand-assembled (:func:`build_schema`) because it
-    encodes cross-field rules; this helper covers the plain-record shapes.
+    Every field becomes a property of a closed object schema
+    (``additionalProperties: false``).  Its type comes from the annotation
+    -- ``int``/``float``/``str``/``bool``, ``Optional`` (nullable),
+    ``List``/``Dict`` containers and nested dataclasses (a ``$ref`` when
+    ``refs`` maps the class to a definition, inlined otherwise) -- and its
+    constraints from the ``metadata`` declared with
+    :func:`repro.schema.fields.schema_field`.  Fields without defaults are
+    ``required``; non-null JSON-encodable defaults are recorded; the class
+    docstring's first paragraph becomes the object's ``description`` and a
+    ``SCHEMA_RULES`` class attribute its ``allOf`` cross-field rules.  The
+    scenario-pack schema and the service wire models both come from here.
     """
-    import typing
-
     if not dataclasses.is_dataclass(cls):
         raise TypeError(f"dataclass_schema needs a dataclass, got {cls!r}")
-    hints = typing.get_type_hints(cls)
-    defaults = _defaults(cls)
+    hints = type_hints(cls)
     properties: Dict[str, Any] = {}
     required: List[str] = []
     for f in dataclasses.fields(cls):
-        schema = _annotation_schema(hints.get(f.name, Any))
-        description = f.metadata.get("description") if f.metadata else None
-        if description:
-            schema = {**schema, "description": str(description)}
-        properties[f.name] = _with_default(schema, defaults, f.name)
-        if (
-            f.default is dataclasses.MISSING
-            and f.default_factory is dataclasses.MISSING
-        ):
+        if f.metadata.get("internal"):
+            continue
+        properties[f.name] = _field_schema(f, hints.get(f.name, Any), refs or {})
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             required.append(f.name)
     document: Dict[str, Any] = {"type": "object"}
     doc = _doc(cls)
     if doc:
         document["description"] = doc
-    document["properties"] = properties
+    document["additionalProperties"] = False
     if required:
         document["required"] = required
-    document["additionalProperties"] = False
+    document["properties"] = properties
+    rules = getattr(cls, "SCHEMA_RULES", ())
+    if rules:
+        document["allOf"] = copy.deepcopy(list(rules))
     return document
 
 
-def _annotation_schema(annotation: Any) -> Dict[str, Any]:
-    """Schema fragment for one type annotation (the dataclass_schema walker)."""
-    import typing
+def _field_schema(f: dataclasses.Field, annotation: Any,
+                  refs: Dict[type, str]) -> Dict[str, Any]:
+    """One property schema: annotation-derived type plus declared metadata."""
+    meta = f.metadata
+    nullable, annotation = _split_optional(annotation)
+    bounds = meta.get("bounds", {})
+    if "schema" in meta:
+        schema = copy.deepcopy(meta["schema"])
+    elif "plugin" in meta:
+        schema = _plugin_ref(meta["plugin"])
+    elif "quantity" in meta:
+        schema = quantity_schema(meta["quantity"], **bounds)
+    elif "enum" in meta:
+        schema = {"enum": list(meta["enum"])}
+    else:
+        schema = {**_annotation_schema(annotation, refs), **bounds}
+    if nullable:
+        # Declared pack fields publish a nullable plain string as a type list.
+        schema = _nullable(schema, compact="bounds" in meta)
+    if "$ref" in schema:
+        return schema
+    if meta.get("description"):
+        schema["description"] = meta["description"]
+    default = _default(f)
+    if default is not _NO_DEFAULT and meta.get("show_default", default is not None):
+        schema["default"] = default
+    return schema
 
+
+def _split_optional(annotation: Any) -> Tuple[bool, Any]:
+    """``(nullable, inner)`` for ``Optional[X]``; ``(False, annotation)`` otherwise."""
+    args = typing.get_args(annotation)
+    if typing.get_origin(annotation) is typing.Union and type(None) in args:
+        rest = [arg for arg in args if arg is not type(None)]
+        return True, rest[0] if len(rest) == 1 else typing.Union[tuple(rest)]
+    return False, annotation
+
+
+def _nullable(schema: Dict[str, Any], compact: bool = False) -> Dict[str, Any]:
+    if compact and schema == {"type": "string"}:
+        return {"type": ["string", "null"]}
+    if list(schema) == ["anyOf"]:
+        return {"anyOf": schema["anyOf"] + [{"type": "null"}]}
+    return {"anyOf": [schema, {"type": "null"}]}
+
+
+_NO_DEFAULT = object()
+
+
+def _default(f: dataclasses.Field) -> Any:
+    """The field's default when it is JSON-encodable, else ``_NO_DEFAULT``."""
+    if f.default is not dataclasses.MISSING:
+        value = f.default
+    elif f.default_factory is not dataclasses.MISSING:
+        value = f.default_factory()
+    else:
+        return _NO_DEFAULT
+    if value is None or isinstance(value, (bool, int, float, str, list, dict)):
+        return value
+    return _NO_DEFAULT
+
+
+def _annotation_schema(annotation: Any, refs: Dict[type, str]) -> Dict[str, Any]:
+    """Schema fragment for one type annotation (the dataclass_schema walker)."""
     if annotation is Any:
         return {}
     if dataclasses.is_dataclass(annotation):
-        return dataclass_schema(annotation)
+        if annotation in refs:
+            return {"$ref": refs[annotation]}
+        return dataclass_schema(annotation, refs)
     origin = typing.get_origin(annotation)
     args = typing.get_args(annotation)
     if origin is typing.Union:
-        branches = []
-        for arg in args:
-            if arg is type(None):
-                branches.append({"type": "null"})
-            else:
-                branches.append(_annotation_schema(arg))
-        return branches[0] if len(branches) == 1 else {"anyOf": branches}
+        nullable, inner = _split_optional(annotation)
+        if nullable:
+            return _nullable(_annotation_schema(inner, refs))
+        return {"anyOf": [_annotation_schema(arg, refs) for arg in args]}
     if origin in (list, tuple):
-        items = _annotation_schema(args[0]) if args else {}
+        items = _annotation_schema(args[0], refs) if args else {}
         return {"type": "array", "items": items} if items else {"type": "array"}
     if origin is dict:
         return {"type": "object"}

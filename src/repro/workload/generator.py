@@ -20,12 +20,13 @@ Everything is deterministic for a given seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.config.infrastructure import InfrastructureConfig
+from repro.schema.fields import schema_field
 from repro.utils.errors import WorkloadError
 from repro.utils.rng import RandomSource
 from repro.workload.job import Job
@@ -67,17 +68,24 @@ class WorkloadSpec:
         the paper's Figure 3.
     """
 
-    multicore_fraction: float = 0.4
-    multicore_cores: int = 8
-    walltime_median: float = 4 * 3600.0
-    walltime_sigma: float = 0.7
-    multicore_walltime_factor: float = 1.5
-    mean_input_files: float = 3.0
-    mean_output_files: float = 1.5
-    mean_file_size: float = 1.5e9
-    memory_per_core: float = 2 * 2**30
-    arrival_rate: Optional[float] = None
-    walltime_noise_sigma: float = 0.18
+    multicore_fraction: float = schema_field(
+        0.4, "Fraction of jobs requesting multicore_cores cores.", minimum=0, maximum=1)
+    multicore_cores: int = schema_field(8, "Core count of multi-core jobs.", minimum=2)
+    walltime_median: float = schema_field(
+        4 * 3600.0, "Median single-core walltime, seconds.", exclusive_minimum=0)
+    walltime_sigma: float = schema_field(0.7, "Lognormal sigma of walltimes.", minimum=0)
+    multicore_walltime_factor: float = schema_field(
+        1.5, "Walltime multiplier for multi-core jobs.", exclusive_minimum=0)
+    mean_input_files: float = schema_field(3.0, "Poisson mean of input-file counts.", minimum=0)
+    mean_output_files: float = schema_field(1.5, "Poisson mean of output-file counts.", minimum=0)
+    mean_file_size: float = schema_field(1.5e9, "Mean file size in bytes.", minimum=0)
+    memory_per_core: float = schema_field(
+        2 * 2**30, "Memory requested per core, bytes.", minimum=0)
+    arrival_rate: Optional[float] = schema_field(
+        None, "Poisson arrival rate (jobs/s); null submits at t=0.", exclusive_minimum=0,
+        show_default=True)
+    walltime_noise_sigma: float = schema_field(
+        0.18, "Lognormal sigma of per-job walltime discrepancy.", minimum=0)
 
     def __post_init__(self) -> None:
         if not 0 <= self.multicore_fraction <= 1:

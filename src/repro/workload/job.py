@@ -76,9 +76,6 @@ class JobIdAllocator:
         return f"<JobIdAllocator next={self._next}>"
 
 
-#: Backwards-compatible private alias (pre-existing callers).
-_JobIdCounter = JobIdAllocator
-
 _job_counter = JobIdAllocator(1)
 
 

@@ -434,6 +434,20 @@ class TestSchemaCommand:
         assert "FAIL" in out and "bad-pack.json" in out
         assert "(at /workload/jobs)" in out
 
+    def test_scenario_and_schema_validate_name_the_same_pointer(self, tmp_path, capsys):
+        bad = tmp_path / "drifted.json"
+        bad.write_text(json.dumps({
+            "name": "drifted",
+            "execution": {"plugin": "least_loaded", "macro_batch": "no"},
+        }), encoding="utf-8")
+        assert main(["scenario", "validate", str(bad)]) == 1
+        scenario_out = capsys.readouterr().out
+        assert main(["schema", "validate", str(bad)]) == 1
+        schema_out = capsys.readouterr().out
+        assert "FAIL" in scenario_out and "FAIL" in schema_out
+        assert "(at /execution/macro_batch)" in scenario_out
+        assert "(at /execution/macro_batch)" in schema_out
+
     def test_validate_unparseable_file_fails_naming_it(self, tmp_path, capsys):
         broken = tmp_path / "broken.json"
         broken.write_text("{not json", encoding="utf-8")

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from repro.config.execution import ExecutionConfig
+from repro.config.loaders import load_execution
 from repro.scenarios import (
     ScenarioPack,
     ScenarioRegistry,
@@ -21,6 +22,7 @@ from repro.scenarios import (
     sweep_specs,
 )
 from repro.scenarios.registry import BUNDLED_PACK_DIR
+from repro.schema import validate_pack_dict
 from repro.utils.errors import CGSimError, ConfigurationError
 
 BUNDLED = [
@@ -182,6 +184,49 @@ class TestSchemaValidation:
             pack = get_scenario_pack(name)
             clone = ScenarioPack.from_dict(pack.to_dict(), source=pack.source_path)
             assert clone.to_dict() == pack.to_dict()
+
+
+#: Inputs the loader once accepted although the published schema rejects
+#: them: each was silently coerced (``bool("no")`` turned macro lanes on,
+#: ``1.5`` was truncated, ``True`` ran one job per site) or passed unchecked.
+SCHEMA_DRIFT = {
+    "macro_batch_string": {"execution": {"macro_batch": "no"}},
+    "fractional_seed": {"execution": {"seed": 1.5}},
+    "fractional_max_retries": {"execution": {"max_retries": 1.7}},
+    "string_shards": {"execution": {"shards": "2"}},
+    "unregistered_plugin": {"execution": {"plugin": "nope"}},
+    "fractional_batch_size": {"execution": {"monitoring": {"batch_size": 2.5}}},
+    "boolean_per_site_jobs": {"workload": {"per_site_jobs": True}},
+    "numeric_title": {"title": 5},
+}
+
+
+class TestLoaderMatchesSchema:
+    """The loaders reject exactly what the published schema rejects."""
+
+    @pytest.mark.parametrize("case", sorted(SCHEMA_DRIFT))
+    def test_schema_violations_are_load_errors(self, case, tmp_path):
+        data = {"name": "p", **SCHEMA_DRIFT[case]}
+        errors = validate_pack_dict(data)
+        assert errors, "the published schema must reject this input"
+        pointer = errors[0].pointer
+        with pytest.raises(ConfigurationError) as excinfo:
+            ScenarioPack.from_dict(data)
+        assert str(excinfo.value).endswith(f"(at {pointer})")
+
+        if "execution" in data:
+            path = tmp_path / "execution.json"
+            path.write_text(json.dumps(data["execution"]))
+            with pytest.raises(ConfigurationError) as excinfo:
+                load_execution(path)
+            assert str(excinfo.value).endswith(f"(at {pointer[len('/execution'):]})")
+
+    def test_schema_valid_input_still_gets_the_eager_checks(self):
+        data = {"name": "p", "faults": {"outages": [{"site": "A", "start": "12h", "end": "4h"}]}}
+        assert validate_pack_dict(data) == []
+        with pytest.raises(ConfigurationError, match="start < end") as excinfo:
+            ScenarioPack.from_dict(data)
+        assert str(excinfo.value).endswith("(at /faults/outages/0)")
 
 
 class TestOverrides:
@@ -418,10 +463,11 @@ class TestRunner:
         assert spec.scenario == "workload.seed=1,grid.seed=2"
 
     def test_failed_runs_are_recorded_not_raised(self):
-        # FollowTracePolicy needs target sites the synthetic grid satisfies,
-        # but a plugin name unknown to the registry fails inside the run.
+        # A module:Class plugin reference passes the schema (only registered
+        # names are enumerated), but one that cannot be imported fails inside
+        # the run.
         pack = ScenarioPack.from_dict(
-            tiny(sweep={"axes": {"execution.plugin": ["no_such_policy"]}})
+            tiny(sweep={"axes": {"execution.plugin": ["no_such_policy:Policy"]}})
         )
         outcome = run_scenario_pack(pack, workers=1)
         assert not outcome.ok

@@ -223,6 +223,31 @@ class TestValidatorRejections:
             validate_instance({"x": 1}, {"type": "object", "unevaluatedProperties": False})
 
 
+class TestSchemaCache:
+    """Validation reuses one schema per process until the registry changes."""
+
+    def test_registering_a_plugin_refreshes_the_cached_schema(self, monkeypatch):
+        from repro.data.eviction import LRUEviction
+        from repro.plugins import registry
+        from repro.schema import current_schema
+
+        def pack(policy):
+            return {"name": "p", "data": {"cache": {"policy": policy}}}
+
+        assert validate_pack_dict(pack("lru")) == []
+        assert current_schema() is current_schema()
+        # Register into a copy of the family so the probe is gone after the test.
+        monkeypatch.setitem(registry._REGISTRY, "eviction", dict(registry._REGISTRY["eviction"]))
+        registry.register_plugin("eviction", "schema_cache_probe")(
+            type("SchemaCacheProbe", (LRUEviction,), {}))
+
+        assert validate_pack_dict(pack("schema_cache_probe")) == []
+        loaded = ScenarioPack.from_dict(pack("schema_cache_probe"))
+        assert loaded.data.cache.policy == "schema_cache_probe"
+        errors = validate_pack_dict(pack("not_registered_anywhere"))
+        assert [error.pointer for error in errors] == ["/data/cache/policy"]
+
+
 class TestSampledRoundTrip:
     """Hypothesis: sampled packs validate, load, and re-emit stably."""
 

@@ -1,6 +1,6 @@
 """Tests of the stepped session lifecycle (repro.core.session) and its
 consumers: equivalence with ``Simulator.run()``, mid-run submission,
-early-stop conditions, interrupted-run durability, the deprecation shim,
+early-stop conditions, interrupted-run durability, the build-callback registry,
 and the CLI/scenario/experiment wiring."""
 
 from __future__ import annotations
@@ -466,20 +466,6 @@ class TestFinalizeAndInterruption:
 
 
 class TestDeprecationAndRegistry:
-    def test_setup_hook_warns_but_still_runs(self, small_infrastructure, small_jobs):
-        calls = []
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            simulator = Simulator(
-                small_infrastructure,
-                execution=_quiet(),
-                setup_hook=lambda sim: calls.append(sim),
-            )
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert any("on_build" in str(w.message) for w in caught)
-        simulator.run(small_jobs)
-        assert calls == [simulator]
-
     def test_on_build_registry_runs_in_order_every_build(
         self, small_infrastructure, small_jobs
     ):
