@@ -27,6 +27,55 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["MainServer"]
 
 
+class _LiveSiteStatus(SiteStatus):
+    """The :class:`SiteStatus` of one site, reading the site's live counters.
+
+    The static fields (name, total cores, core speed, properties) are set
+    once; every dynamic field is a property over the
+    :class:`~repro.core.site.SiteRuntime`, so the main server never rebuilds
+    a status.  ``resident_data`` asks the data manager only when a policy
+    reads it.
+    """
+
+    def __init__(self, site: "SiteRuntime", data_manager: Optional["DataManager"]) -> None:
+        self.name = site.name
+        self.total_cores = site.total_cores
+        self.core_speed = site.config.core_speed
+        self.properties = dict(site.config.properties)
+        self._site = site
+        self._data_manager = data_manager
+
+    @property
+    def available_cores(self) -> int:
+        return self._site.available_cores
+
+    @property
+    def pending_jobs(self) -> int:
+        return self._site.queued_jobs
+
+    @property
+    def running_jobs(self) -> int:
+        return self._site.running_jobs
+
+    @property
+    def assigned_jobs(self) -> int:
+        return self._site.backlog
+
+    @property
+    def finished_jobs(self) -> int:
+        return self._site.finished_jobs
+
+    @property
+    def failed_jobs(self) -> int:
+        return self._site.failed_jobs
+
+    @property
+    def resident_data(self) -> frozenset:
+        if self._data_manager is None:
+            return frozenset()
+        return frozenset(self._data_manager.datasets_at(self.name))
+
+
 class MainServer:
     """The sender actor: dispatches workload to site queues via the policy plugin.
 
@@ -122,6 +171,15 @@ class MainServer:
         if self.total_jobs == 0:
             self.all_done.succeed()
 
+        #: Widest host on the grid: a wider job can never be placed.
+        self._widest_host = max(
+            (site.max_host_cores() for site in self.sites.values()), default=0
+        )
+        #: The one resource view every dispatch hands the policy.
+        self._view = ResourceView(
+            {name: _LiveSiteStatus(site, data_manager) for name, site in self.sites.items()}
+        )
+
         self.policy.initialize(platform_description or {})
         for site in self.sites.values():
             site.completion_callbacks.append(self._on_job_completed)
@@ -131,26 +189,15 @@ class MainServer:
 
     # -- resource view ------------------------------------------------------------
     def resource_view(self) -> ResourceView:
-        """Build the per-site status snapshot handed to the policy."""
-        statuses = {}
-        for name, site in self.sites.items():
-            resident = frozenset()
-            if self.data_manager is not None:
-                resident = frozenset(self.data_manager.datasets_at(name))
-            statuses[name] = SiteStatus(
-                name=name,
-                total_cores=site.total_cores,
-                available_cores=site.available_cores,
-                core_speed=site.config.core_speed,
-                pending_jobs=site.queued_jobs,
-                running_jobs=site.running_jobs,
-                assigned_jobs=site.backlog,
-                finished_jobs=site.finished_jobs,
-                failed_jobs=site.failed_jobs,
-                resident_data=resident,
-                properties=dict(site.config.properties),
-            )
-        return ResourceView(statuses, time=self.env.now)
+        """The live resource view handed to the policy, stamped with the time.
+
+        One view is built with the server; its site statuses read the sites'
+        counters on access, so a dispatch only sets ``time``.  The view is
+        valid for one :meth:`~repro.plugins.base.AllocationPolicy.assign_job`
+        call.
+        """
+        self._view.time = self.env.now
+        return self._view
 
     # -- lifecycle -----------------------------------------------------------------
     def expect(self, count: int) -> None:
@@ -220,7 +267,7 @@ class MainServer:
 
     def _park(self, job: Job) -> None:
         """Put a job on the pending list (or fail it if it can never be placed)."""
-        widest = max((site.max_host_cores() for site in self.sites.values()), default=0)
+        widest = self._widest_host
         if job.cores > widest:
             self._fail_unplaceable(
                 job, f"no site has a host with {job.cores} cores (widest host: {widest})"

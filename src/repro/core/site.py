@@ -119,6 +119,17 @@ class SiteRuntime:
         #: Callbacks invoked (with the job) whenever a job reaches a terminal state.
         self.completion_callbacks: List = []
 
+        # The zone's hosts never change after the platform is built, so the
+        # static capacity figures are read once.
+        self._hosts: List[Host] = self.zone.hosts
+        self._total_cores: int = self.zone.total_cores
+        self._max_host_cores: int = max((host.cores for host in self._hosts), default=0)
+        #: Currently free cores across the site's hosts: the sum of every
+        #: host's ``core_pool.available``, kept as a counter by the one
+        #: acquire point (:meth:`_wait_for_host`) and the two release points
+        #: (``_execute``'s ``finally`` and :meth:`_macro_complete`).
+        self.available_cores: int = sum(host.core_pool.available for host in self._hosts)
+
         self._receiver_process = env.process(self._receiver())
 
     # -- public API ----------------------------------------------------------
@@ -135,12 +146,7 @@ class SiteRuntime:
     @property
     def total_cores(self) -> int:
         """Total cores of the site."""
-        return self.zone.total_cores
-
-    @property
-    def available_cores(self) -> int:
-        """Currently free cores across the site's hosts."""
-        return self.zone.available_cores
+        return self._total_cores
 
     @property
     def backlog(self) -> int:
@@ -149,7 +155,7 @@ class SiteRuntime:
 
     def max_host_cores(self) -> int:
         """Largest single-host core count (widest job the site can ever run)."""
-        return max((host.cores for host in self.zone.hosts), default=0)
+        return self._max_host_cores
 
     # -- checkpoint support -------------------------------------------------------
     # cgsim: lint-ignore[snap-field-coverage] the queue store and availability events are rebuilt by replay
@@ -159,7 +165,9 @@ class SiteRuntime:
         Part of the :class:`repro.state.Snapshottable` protocol: queue
         depth, per-state job counters, free cores and the outage bookkeeping
         are all replay-derived, so this snapshot is the per-site
-        verification record a checkpoint restore is compared against.
+        verification record a checkpoint restore is compared against.  Free
+        cores appear twice, as the site's counter and as the sum over its
+        hosts, so a restore verifies both.
         """
         return {
             "queued": self.queued_jobs,
@@ -169,6 +177,7 @@ class SiteRuntime:
             "failed": self.failed_jobs,
             "completed": len(self.completed),
             "available_cores": self.available_cores,
+            "host_available_cores": sum(host.core_pool.available for host in self._hosts),
             "online": bool(self.online),
             "downtime_seconds": self.downtime_seconds,
             "offline_since": self._offline_since,
@@ -240,18 +249,33 @@ class SiteRuntime:
         while True:
             host = self._pick_host(job.cores)
             if host is not None:
+                # The picked host has the cores free and this receiver is its
+                # pool's only client, so the request is granted right here.
                 request = host.core_pool.request(amount=job.cores)
+                self.available_cores -= request.amount
                 yield request
                 return (host, request)
             yield self._capacity_event
 
     def _pick_host(self, cores: int) -> Optional[Host]:
-        """Best-fit host with at least ``cores`` free cores (None if none)."""
-        candidates = [h for h in self.zone.hosts if h.available_cores >= cores]
-        if not candidates:
+        """Best-fit host with at least ``cores`` free cores (None if none).
+
+        Best fit is the smallest sufficient free-core count, ties by name.
+        """
+        if cores > self.available_cores:
             return None
-        # Best fit: smallest sufficient free-core count, ties by name.
-        return min(candidates, key=lambda h: (h.available_cores, h.name))
+        best = None
+        for host in self._hosts:
+            free = host.core_pool.available
+            if free >= cores and (best is None or (free, host.name) < (best_free, best.name)):
+                best, best_free = host, free
+        return best
+
+    def _release(self, host: Host, request) -> None:
+        """Return ``request``'s cores to ``host`` and wake the admission loop."""
+        host.core_pool.release(request)
+        self.available_cores += request.amount
+        self._signal_capacity()
 
     def _signal_capacity(self) -> None:
         """Wake the admission loop after cores were released."""
@@ -325,8 +349,7 @@ class SiteRuntime:
                 self.running_jobs -= 1
             self._fail(job, str(exc))
         finally:
-            host.core_pool.release(request)
-            self._signal_capacity()
+            self._release(host, request)
 
     def _start_fast(self, job: Job, allocation) -> None:
         """Macro fast path for ``_execute``: start inline, finish via the lane.
@@ -388,8 +411,7 @@ class SiteRuntime:
             site.completed.append(job)
             site._record(job, JobState.FINISHED)
             site._notify_completion(job)
-        host.core_pool.release(request)
-        site._signal_capacity()
+        site._release(host, request)
 
     def _fail(self, job: Job, reason: str) -> None:
         """Mark ``job`` failed and notify listeners."""

@@ -248,13 +248,11 @@ class Process(Event):
                     event.defused = True
                     next_event = self._throw(event._value)
             except StopIteration as stop:
-                self._target = None
-                env._active_process = None
+                self._finish()
                 self.succeed(stop.value)
                 return
             except BaseException as exc:  # noqa: BLE001 - propagate via event
-                self._target = None
-                env._active_process = None
+                self._finish()
                 self.fail(exc)
                 return
 
@@ -277,6 +275,17 @@ class Process(Event):
             waiters.append(self._resume_cb)
             break
         env._active_process = None
+
+    def _finish(self) -> None:
+        """Detach a process whose generator has returned or raised.
+
+        Dropping the cached bound method breaks the process's only
+        reference cycle, so a finished process is freed by reference
+        counting instead of waiting for the cycle collector.
+        """
+        self._target = None
+        self._resume_cb = None
+        self.env._active_process = None
 
     def __repr__(self) -> str:
         name = getattr(self._generator, "__name__", str(self._generator))

@@ -21,17 +21,19 @@ synchronization at all.  A run therefore has three phases:
 
 1. **partition** -- :func:`plan_shards` balances the sites over the
    regions by job count (largest site first, each to the lightest region),
-   and each region's configuration and jobs are pickled once into a
-   payload;
-2. **run** -- each region runs in its own forked worker (the coordinator
-   runs the first region itself), pinned to a CPU of its own where there
-   are several: it unpickles its payload, runs it with a single
-   :meth:`~repro.core.simulator.Simulator.run` call -- which honours the
-   ``execution.max_simulation_time`` deadline -- sends back one result and
-   exits;
-3. **merge** -- the coordinator puts every workload job back at its input
-   position, appends the retry attempts in canonical order and recomputes
-   the metrics from the merged jobs.
+   and each region's configuration is pickled once into a payload;
+2. **run** -- each region runs in its own forked worker, which inherits
+   its jobs (the coordinator runs the first region itself, on its own job
+   objects), pinned to a CPU of its own where there are several: it
+   unpickles its payload, advances one session to completion -- which
+   honours the ``execution.max_simulation_time`` deadline -- without
+   computing metrics, sends back one result and exits;
+3. **merge** -- a worker sends back, per workload job, only what the run
+   changed (state, site, history, timestamps), plus its retry attempts; the
+   coordinator writes those onto its own workload jobs -- which, as in a
+   single-clock run, are the caller's ``CREATED`` jobs -- appends the retry
+   attempts in canonical order and computes the metrics once, from the
+   merged jobs.
 
 Region *k* of *N* mints retry ids ``base+k, base+k+N, ...``: disjoint
 congruence classes, so merged outputs never collide.  A region that raises
@@ -199,12 +201,12 @@ def _region_payload(
     region_index: int,
     shards: int,
     id_base: int,
-    jobs: List["Job"],
 ) -> bytes:
-    """Everything one region needs, pickled once.
+    """One region's configuration, pickled once.
 
     The bytes double as the shippability check and as the region's private
-    copy of its configuration and jobs, whichever process runs it.
+    copy of its configuration, whichever process runs it.  The region's
+    jobs travel separately (see :func:`run_sharded`).
     """
     from repro.config.infrastructure import InfrastructureConfig
     from repro.config.topology import TopologyConfig
@@ -246,7 +248,6 @@ def _region_payload(
         "region_index": region_index,
         "shards": shards,
         "id_base": id_base,
-        "jobs": jobs,
     }
     try:
         return pickle.dumps(payload, protocol=4)
@@ -257,8 +258,13 @@ def _region_payload(
         ) from exc
 
 
-def _run_region(blob: bytes) -> Tuple[str, object]:
-    """Run one region to completion from its pickled payload.
+def _run_region(blob: bytes, jobs: List["Job"], ship: bool) -> Tuple[str, object]:
+    """Run one region's ``jobs`` to completion from its pickled payload.
+
+    The jobs run in place.  A worker's region (``ship=True``) runs its own
+    copy of them and reports their :func:`_outcome` tuples; the
+    coordinator's own region runs the coordinator's objects and reports no
+    outcomes (``None``).
 
     Returns ``("result", data)``, or ``("error", traceback)`` when anything
     raises, so a failing region is reported the same way in the
@@ -276,18 +282,56 @@ def _run_region(blob: bytes) -> Tuple[str, object]:
             sim.job_ids.step = payload["shards"]
 
         simulator.on_build(_pin_allocator)
-        result = simulator.run(payload["jobs"])
+        # No finalize(): the coordinator computes the metrics of the merge.
+        session = simulator.session(jobs).advance_to_completion()
+        server = simulator.server
         return (
             "result",
             {
-                "jobs": result.jobs,
-                "simulated_time": result.simulated_time,
-                "pending_jobs": result.pending_jobs,
-                "assignments": result.assignments,
+                "outcomes": [_outcome(job) for job in session.jobs] if ship else None,
+                "retries": server.retry_jobs,
+                "simulated_time": session.now,
+                "pending_jobs": len(server.pending),
+                "assignments": server.assignments,
             },
         )
     except Exception:
         return ("error", traceback.format_exc())
+
+
+def _outcome(job: "Job") -> tuple:
+    """What a run changed on one workload job, in plain values.
+
+    Shipping these tuples instead of whole :class:`~repro.workload.job.Job`
+    objects keeps a region's reply small; :func:`_apply_outcome` writes them
+    onto the coordinator's own copy of the job.
+    """
+    return (
+        job.state.value,
+        job.assigned_site,
+        [(time, state.value) for time, state in job.state_history],
+        job.assigned_time,
+        job.start_time,
+        job.end_time,
+        job.failure_reason,
+        job.attributes,
+    )
+
+
+def _apply_outcome(job: "Job", outcome: tuple, states: Mapping[str, object]) -> None:
+    """Write a region's :func:`_outcome` for ``job`` onto ``job``."""
+    (
+        state,
+        job.assigned_site,
+        history,
+        job.assigned_time,
+        job.start_time,
+        job.end_time,
+        job.failure_reason,
+        job.attributes,
+    ) = outcome
+    job.state = states[state]
+    job.state_history = [(time, states[value]) for time, value in history]
 
 
 def _region_cpus(count: int) -> List[Optional[int]]:
@@ -305,12 +349,12 @@ def _region_cpus(count: int) -> List[Optional[int]]:
     return [cpus[k % len(cpus)] for k in range(count)]
 
 
-def _region_worker(blob: bytes, conn, cpu: Optional[int]) -> None:
+def _region_worker(blob: bytes, jobs: List["Job"], conn, cpu: Optional[int]) -> None:
     """Worker-process entry point: run one region, send its outcome, exit."""
     if cpu is not None:
         os.sched_setaffinity(0, {cpu})
     try:
-        conn.send(_run_region(blob))
+        conn.send(_run_region(blob, jobs, ship=True))
     finally:
         conn.close()
 
@@ -378,11 +422,6 @@ def run_sharded(
     additionally cross-checked bit-for-bit against a pristine single-clock
     run of the same workload.
     """
-    from repro.core.metrics import compute_metrics
-    from repro.core.simulator import SimulationResult
-    from repro.des import Environment
-    from repro.monitoring.collector import MonitoringCollector
-    from repro.platform.builder import build_platform
     from repro.workload.job import JobState
 
     started = _wallclock.perf_counter()
@@ -412,14 +451,12 @@ def run_sharded(
         )
 
     region_of = {site: k for k, names in enumerate(regions) for site in names}
-    by_region: List[List[int]] = [[] for _ in regions]
-    for index, job in enumerate(jobs):
-        by_region[region_of[job.target_site]].append(index)
+    region_jobs: List[List["Job"]] = [[] for _ in regions]
+    for job in jobs:
+        region_jobs[region_of[job.target_site]].append(job)
     id_base = max((int(job.job_id) for job in jobs), default=0) + 1
     blobs = [
-        _region_payload(
-            simulator, names, k, len(regions), id_base, [jobs[i] for i in by_region[k]]
-        )
+        _region_payload(simulator, names, k, len(regions), id_base)
         for k, names in enumerate(regions)
     ]
 
@@ -427,53 +464,78 @@ def run_sharded(
     context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
     cpus = _region_cpus(len(blobs))
     allowed = os.sched_getaffinity(0) if cpus[0] is not None else None
-    # Move every live object out of the collector's reach before forking:
-    # children then never touch (and copy) the parent's pages on a gc pass.
+    # Move every live object out of the collector's reach until the merged
+    # result is built: children then never touch (and copy) the parent's
+    # pages on a gc pass, and the coordinator's own collections during the
+    # run and the merge scan only what this call allocated.
     gc.freeze()
-    workers = []
     try:
-        for blob, cpu in zip(blobs[1:], cpus[1:]):
-            receiver, sender = context.Pipe(duplex=False)
-            process = context.Process(
-                target=_region_worker, args=(blob, sender, cpu), daemon=True
-            )
-            process.start()
-            sender.close()
-            workers.append((process, receiver))
-        if allowed is not None:
-            os.sched_setaffinity(0, {cpus[0]})
-        outcomes = [_run_region(blobs[0])]
-        outcomes.extend(_receive(conn) for _, conn in workers)
+        workers = []
+        try:
+            # A forked worker inherits its jobs (a private copy-on-write copy);
+            # under spawn the arguments are pickled.
+            for blob, region, cpu in zip(blobs[1:], region_jobs[1:], cpus[1:]):
+                receiver, sender = context.Pipe(duplex=False)
+                process = context.Process(
+                    target=_region_worker, args=(blob, region, sender, cpu), daemon=True
+                )
+                process.start()
+                sender.close()
+                workers.append((process, receiver))
+            if allowed is not None:
+                os.sched_setaffinity(0, {cpus[0]})
+            outcomes = [_run_region(blobs[0], region_jobs[0], ship=False)]
+            outcomes.extend(_receive(conn) for _, conn in workers)
+        finally:
+            for process, conn in workers:
+                conn.close()
+                process.join(timeout=10)
+                if process.is_alive():  # pragma: no cover - crash cleanup
+                    process.terminate()
+                    process.join()
+            if allowed is not None:
+                os.sched_setaffinity(0, allowed)
+        result = _merge(simulator, jobs, region_jobs, outcomes, started)
     finally:
-        for process, conn in workers:
-            conn.close()
-            process.join(timeout=10)
-            if process.is_alive():  # pragma: no cover - crash cleanup
-                process.terminate()
-                process.join()
-        if allowed is not None:
-            os.sched_setaffinity(0, allowed)
         gc.unfreeze()
-    region_results = [_unwrap(outcome) for outcome in outcomes]
+    if verify:
+        _verify_against_single_clock(simulator, jobs, result)
+    return result
 
-    merged: List[Optional["Job"]] = [None] * len(jobs)
+
+def _merge(
+    simulator: "Simulator",
+    jobs: List["Job"],
+    region_jobs: List[List["Job"]],
+    outcomes: List[Tuple[str, object]],
+    started: float,
+) -> "SimulationResult":
+    """One result from the regions' outcomes (see the module docstring)."""
+    from repro.core.metrics import compute_metrics
+    from repro.core.simulator import SimulationResult
+    from repro.des import Environment
+    from repro.monitoring.collector import MonitoringCollector
+    from repro.platform.builder import build_platform
+    from repro.workload.job import JobState
+
+    region_results = [_unwrap(outcome) for outcome in outcomes]
+    states = {state.value: state for state in JobState}
     retries: List["Job"] = []
     assignments: Dict[int, str] = {}
     pending_jobs = 0
     simulated_time = 0.0
-    for indices, data in zip(by_region, region_results):
-        region_jobs = data["jobs"]
-        for index, job in zip(indices, region_jobs[: len(indices)]):
-            merged[index] = job
-        retries.extend(region_jobs[len(indices) :])
+    for region, data in zip(region_jobs, region_results):
+        for job, outcome in zip(region, data["outcomes"] or ()):
+            _apply_outcome(job, outcome, states)
+        retries.extend(data["retries"])
         assignments.update(data["assignments"])
         pending_jobs += int(data["pending_jobs"])
         simulated_time = max(simulated_time, float(data["simulated_time"]))
-    all_jobs = list(merged) + _canonical_order(retries)
+    all_jobs = jobs + _canonical_order(retries)
 
     metrics = compute_metrics(all_jobs)
     platform = build_platform(Environment(), simulator.infrastructure, simulator.topology)
-    result = SimulationResult(
+    return SimulationResult(
         jobs=all_jobs,
         metrics=metrics,
         collector=MonitoringCollector(),
@@ -484,9 +546,6 @@ def run_sharded(
         assignments=assignments,
         stopped_reason=None,
     )
-    if verify:
-        _verify_against_single_clock(simulator, jobs, result)
-    return result
 
 
 def _verify_against_single_clock(

@@ -6,9 +6,14 @@ every incoming job, using the standardized job structure and the resource
 information the simulator exposes.
 
 A policy never touches simulator internals: it sees a
-:class:`ResourceView` -- an immutable-by-convention snapshot of per-site
-capacity and queue state refreshed by the main server before every dispatch
-round -- and returns a site name (or ``None`` to leave the job pending).
+:class:`ResourceView` -- a read-only, live view of per-site capacity and
+queue state -- and returns a site name (or ``None`` to leave the job
+pending).  The main server builds one view for the whole run; its site
+statuses read the sites' counters when a policy reads them, so the view is
+valid for one :meth:`AllocationPolicy.assign_job` call and a policy must not
+keep it (or its statuses) across calls.  :class:`SiteStatus` and
+:class:`ResourceView` can still be built by hand, as plain values, e.g. to
+unit-test a policy.
 """
 
 from __future__ import annotations
@@ -25,7 +30,11 @@ __all__ = ["SiteStatus", "ResourceView", "AllocationPolicy"]
 
 @dataclass
 class SiteStatus:
-    """Dynamic, per-site information exposed to allocation policies."""
+    """Dynamic, per-site information exposed to allocation policies.
+
+    Inside a run each status reads its site live (see :class:`ResourceView`);
+    built by hand it is a plain value.
+    """
 
     name: str
     total_cores: int
@@ -69,11 +78,13 @@ class SiteStatus:
 
 
 class ResourceView:
-    """Snapshot of the whole grid handed to a policy's ``assign_job``.
+    """The whole grid as a policy's ``assign_job`` sees it.
 
-    This is the reproduction of CGSim's ``getResourceInformation`` hook: the
-    simulator builds/refreshes one of these before each dispatch round and
-    the policy reads it (it must not mutate it).
+    This is the reproduction of CGSim's ``getResourceInformation`` hook.
+    The simulator builds one view per run whose statuses read the live
+    sites, and stamps :attr:`time` before each ``assign_job`` call.  The
+    policy reads it (it must not mutate it), and the view is valid for that
+    one call only: do not keep references to it or its statuses.
     """
 
     def __init__(self, sites: Dict[str, SiteStatus], time: float = 0.0) -> None:
@@ -144,8 +155,8 @@ class AllocationPolicy(abc.ABC):
     1. :meth:`initialize` once, before any job is dispatched, with the static
        platform description (the ``get_resource_information`` equivalent).
     2. :meth:`assign_job` for every job the main server tries to place
-       (including re-tries of pending jobs), with a fresh
-       :class:`ResourceView`.
+       (including re-tries of pending jobs), with a :class:`ResourceView`
+       showing the grid as it is at that call.
     3. :meth:`on_job_finished` whenever a job reaches a terminal state.
     4. :meth:`finalize` once, when the simulation ends.
     """
@@ -161,6 +172,10 @@ class AllocationPolicy(abc.ABC):
     @abc.abstractmethod
     def assign_job(self, job: Job, resources: ResourceView) -> Optional[str]:
         """Return the name of the site ``job`` should run at.
+
+        ``resources`` shows the grid as it is now and is valid for this call
+        only: read what the decision needs, and keep no reference to the
+        view or its site statuses once the call returns.
 
         Returning ``None`` means "no suitable resource right now"; the main
         server then parks the job on its pending list and retries later, as
