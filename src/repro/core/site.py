@@ -122,7 +122,8 @@ class SiteRuntime:
         # The zone's hosts never change after the platform is built, so the
         # static capacity figures are read once.
         self._hosts: List[Host] = self.zone.hosts
-        self._total_cores: int = self.zone.total_cores
+        #: Total cores of the site.
+        self.total_cores: int = self.zone.total_cores
         self._max_host_cores: int = max((host.cores for host in self._hosts), default=0)
         #: Currently free cores across the site's hosts: the sum of every
         #: host's ``core_pool.available``, kept as a counter by the one
@@ -142,11 +143,6 @@ class SiteRuntime:
     def queued_jobs(self) -> int:
         """Jobs waiting in the local queue (not yet admitted to a host)."""
         return len(self.queue)
-
-    @property
-    def total_cores(self) -> int:
-        """Total cores of the site."""
-        return self._total_cores
 
     @property
     def backlog(self) -> int:
